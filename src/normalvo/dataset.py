@@ -283,6 +283,8 @@ def load_dataset(dirpath) -> Dataset:
                 f"{obs_path}:{lineno}: landmark_id {lid} not in landmarks.csv"
             )
         meas = [_field(obs_path, lineno, v, float, "pixel") for v in row[2:5]]
+        if not meas[0] > meas[2]:
+            raise DataFormatError(f"{obs_path}:{lineno}: uL must exceed uR")
         if row[5] not in ("0", "1"):
             raise DataFormatError(
                 f"{obs_path}:{lineno}: is_outlier must be 0 or 1, got {row[5]!r}"
@@ -324,7 +326,7 @@ def load_dataset(dirpath) -> Dataset:
                 )
             )
         except ValueError as err:
-            raise DataFormatError(f"{obs_path}: frame {fid}: {err}") from err
+            raise DataFormatError(f"{d}: frame {fid}: {err}") from err
         labels.append(np.array(per_frame_bad[fid], dtype=bool))
 
     return Dataset(

@@ -21,6 +21,7 @@ import numpy as np
 from .evaluation import Trajectory
 from .factors import (
     CHI2_95_3DOF,
+    NORMAL_UNIT_TOL,
     RobustLossConfig,
     StereoObservation,
     huber,
@@ -134,12 +135,16 @@ class FrameData:
             raise ValueError("measurements must have shape (len(landmark_ids), 3)")
         if np.unique(ids).size != ids.size:
             raise ValueError("a frame cannot observe the same landmark twice")
+        if not np.all(np.isfinite(meas)):
+            raise ValueError("measurements must be finite")
         object.__setattr__(self, "landmark_ids", ids)
         object.__setattr__(self, "measurements", meas)
         if self.frame_normal is not None:
             n = np.asarray(self.frame_normal, dtype=float)
             if n.shape != (3,):
                 raise ValueError("frame normal must have shape (3,)")
+            if not abs(np.linalg.norm(n) - 1.0) <= NORMAL_UNIT_TOL:  # NaN fails too
+                raise ValueError("frame normal must be unit length")
             object.__setattr__(self, "frame_normal", n)
 
 
@@ -271,13 +276,54 @@ class TrackResult:
     cost: float
 
 
-def _whitened_norms(K, pose, points, measured, inv_sigma):
-    """Row norms of whitened reprojection residuals, or None behind camera."""
-    pc = points @ pose.R.T + pose.t
-    if np.any(pc[:, 2] <= 0.0):
-        return None, None
-    r = (project(K, pc) - measured) * inv_sigma
-    return r, np.linalg.norm(r, axis=1)
+@dataclass(frozen=True)
+class _Evaluation:
+    """The robust objective at one state, with the per-row terms it sums."""
+
+    pc: np.ndarray  # (M, 3) camera-frame points
+    r: np.ndarray  # (M, 3) whitened reprojection residuals, inf behind camera
+    sq: np.ndarray  # (M,) whitened squared norms, inf behind the camera
+    w: np.ndarray  # (M,) IRLS weights of the reprojection rows
+    rn: np.ndarray  # (N, 2) weighted normal residuals
+    wn: np.ndarray  # (N,) IRLS weights of the normal rows
+    cost: float  # Huber total, inf when any point is behind its camera
+
+
+def _pose_stack(poses):
+    """Rotations (P, 3, 3) and translations (P, 3) of a sequence of poses."""
+    poses = list(poses)
+    R = np.array([p.R for p in poses]).reshape(-1, 3, 3)
+    return R, np.array([p.t for p in poses]).reshape(-1, 3)
+
+
+def _evaluate(
+    K, config, R, t, points, obs_pose, obs_point, measured, normals=None, n_w=None
+) -> _Evaluation:
+    """The robust objective at stacked world-to-camera poses ``(R, t)``.
+
+    Reprojection row i is landmark ``points[obs_point[i]]`` seen from pose
+    ``obs_pose[i]`` and measured as ``measured[i]``; a row behind its camera
+    gets infinite residuals, so it costs inf and weighs 0. ``normals``, a
+    triple (pose rows, tangent bases, frame normals), adds the weighted
+    tangent-plane factors of those poses against the world normal ``n_w``.
+    """
+    pc = np.einsum("nij,nj->ni", R[obs_pose], points[obs_point]) + t[obs_pose]
+    # rows behind the camera project a stand-in point, then read inf
+    front = pc[:, 2] > 0.0
+    r = (project(K, np.where(front[:, None], pc, 1.0)) - measured) / config.sigma_px
+    r[~front] = np.inf
+    sq = np.einsum("ij,ij->i", r, r)
+    rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
+    cost = float(np.sum(rho))
+    rn, wn = np.zeros((0, 2)), np.zeros(0)
+    if normals is not None:
+        rows, basis, frame_normals = normals
+        rn = math.sqrt(config.loss.normal_weight) * normal_residual(
+            basis, R[rows], n_w, frame_normals
+        )
+        rho_n, wn = huber(np.linalg.norm(rn, axis=1), config.loss.huber_delta_normal)
+        cost += float(np.sum(rho_n))
+    return _Evaluation(pc=pc, r=r, sq=sq, w=w, rn=rn, wn=wn, cost=cost)
 
 
 def track_frame(
@@ -307,51 +353,36 @@ def track_frame(
             f"need {config.min_track_observations}",
         )
     points = np.array([map_state.landmarks[int(i)].position for i in matched_ids])
-    measured = frame.measurements[mask]
-    inv_sigma = 1.0 / config.sigma_px
-    delta_r = config.loss.huber_delta_repro
-    delta_n = config.loss.huber_delta_normal
-
-    use_normal = (
+    rows = np.zeros(matched_ids.size, dtype=int)
+    n_w = map_state.world_normal
+    normals = None
+    if (
         config.normal_in_tracking
         and config.loss.normal_weight > 0.0
-        and map_state.world_normal is not None
+        and n_w is not None
         and frame.frame_normal is not None
-    )
-    if use_normal:
+    ):
         basis = make_tangent_basis(frame.frame_normal)
-        sqrt_lam = math.sqrt(config.loss.normal_weight)
-        n_w = map_state.world_normal
-
-    def evaluate(T):
-        r, norms = _whitened_norms(K, T, points, measured, inv_sigma)
-        if r is None:
-            return np.inf, None, None, None
-        cost = float(np.sum(huber(norms, delta_r)[0]))
-        rn = None
-        if use_normal:
-            rn = sqrt_lam * normal_residual(basis, T.R, n_w, frame.frame_normal)
-            cost += float(huber(np.linalg.norm(rn), delta_n)[0])
-        return cost, r, norms, rn
+        normals = (rows[:1], basis[None], frame.frame_normal[None])
+    terms = (points, rows, np.arange(rows.size), frame.measurements[mask], normals, n_w)
 
     pose = constant_velocity_init(prev_pose, prev_prev_pose)
-    cost, r, norms, rn = evaluate(pose)
-    if not np.isfinite(cost):
+    ev = _evaluate(K, config, pose.R[None], pose.t[None], *terms)
+    if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
 
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        Jp, _ = reprojection_jacobians(K, pose, points)
-        Jp = Jp * inv_sigma
-        w = huber(norms, delta_r)[1]
-        H = np.einsum("n,nab,nac->bc", w, Jp, Jp)
-        g = np.einsum("n,nab,na->b", w, Jp, r)
-        if use_normal:
-            Jn = np.zeros((2, 6))
-            Jn[:, 3:] = sqrt_lam * normal_jacobian(basis, pose.R, n_w)[0]
-            wn = huber(np.linalg.norm(rn), delta_n)[1]
-            H += wn * Jn.T @ Jn
-            g += wn * Jn.T @ rn
+        Jp, _ = reprojection_jacobians(K, pose, points, pc=ev.pc)
+        Jp = Jp / config.sigma_px
+        H = np.einsum("n,nab,nac->bc", ev.w, Jp, Jp)
+        g = np.einsum("n,nab,na->b", ev.w, Jp, ev.r)
+        if normals is not None:
+            J_phi = math.sqrt(config.loss.normal_weight) * normal_jacobian(
+                basis, pose.R, n_w
+            )[0]
+            H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
+            g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
 
         accepted = False
         converged = False
@@ -369,10 +400,10 @@ def track_frame(
                 converged = True
                 break
             candidate = apply_update(step, pose)
-            new_cost, new_r, new_norms, new_rn = evaluate(candidate)
-            if new_cost < cost:
-                rel = (cost - new_cost) / max(cost, 1e-300)
-                pose, cost, r, norms, rn = candidate, new_cost, new_r, new_norms, new_rn
+            new_ev = _evaluate(K, config, candidate.R[None], candidate.t[None], *terms)
+            if new_ev.cost < ev.cost:
+                rel = (ev.cost - new_ev.cost) / max(ev.cost, 1e-300)
+                pose, ev = candidate, new_ev
                 lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
                 accepted = True
                 converged = rel < config.cost_tolerance
@@ -381,8 +412,7 @@ def track_frame(
         if converged or not accepted:
             break
 
-    sq = norms * norms
-    inlier_mask = sq <= config.chi2_threshold
+    inlier_mask = ev.sq <= config.chi2_threshold
     n_inliers = int(np.count_nonzero(inlier_mask))
     if n_inliers < config.min_track_observations:
         raise TrackingLost(
@@ -399,14 +429,14 @@ def track_frame(
         frame.frame_id,
         n_inliers,
         matched_ids.size,
-        cost,
+        ev.cost,
     )
     return TrackResult(
         pose=pose,
         inlier_ids=matched_ids[inlier_mask],
         outlier_ids=matched_ids[~inlier_mask],
         matched=int(matched_ids.size),
-        cost=cost,
+        cost=ev.cost,
     )
 
 
@@ -516,66 +546,35 @@ def reject_outliers(
     map_state: MapState, config: SolverConfig, obs_ids=None
 ) -> int:
     """Drop observations whose whitened squared residual norm exceeds the
-    chi-square threshold; landmarks left unobserved are deleted."""
-    K = map_state.intrinsics
+    chi-square threshold (infinite behind the camera); landmarks left
+    unobserved are deleted."""
     if obs_ids is None:
         obs_ids = list(map_state.observations)
-    inv_sigma2 = 1.0 / (config.sigma_px * config.sigma_px)
-    by_kf: dict[int, list[int]] = {}
-    for obs_id in sorted(obs_ids):
-        obs = map_state.observations.get(obs_id)
-        if obs is None:
-            continue
-        by_kf.setdefault(obs.frame_id, []).append(obs_id)
-    doomed = []
-    for kf_id, ids in by_kf.items():
-        kf = map_state.keyframes[kf_id]
-        group = [map_state.observations[i] for i in ids]
-        points = np.array([map_state.landmarks[o.landmark_id].position for o in group])
-        measured = np.array([o.uvu for o in group])
-        pc = points @ kf.pose.R.T + kf.pose.t
-        sq = np.full(len(ids), np.inf)
-        front = pc[:, 2] > 0.0
-        if np.any(front):
-            r = project(K, pc[front]) - measured[front]
-            sq[front] = np.einsum("ij,ij->i", r, r) * inv_sigma2
-        for i, obs_id in enumerate(ids):
-            if sq[i] > config.chi2_threshold:
-                doomed.append(obs_id)
+    ids = sorted(i for i in obs_ids if i in map_state.observations)
+    obs = [map_state.observations[i] for i in ids]
+    kf_row = {k: i for i, k in enumerate({o.frame_id for o in obs})}
+    R, t = _pose_stack(map_state.keyframes[k].pose for k in kf_row)
+    points = [map_state.landmarks[o.landmark_id].position for o in obs]
+    sq = _evaluate(
+        map_state.intrinsics,
+        config,
+        R,
+        t,
+        np.array(points).reshape(-1, 3),
+        np.array([kf_row[o.frame_id] for o in obs], dtype=int),
+        np.arange(len(obs)),
+        np.array([o.uvu for o in obs]).reshape(-1, 3),
+    ).sq
+    doomed = [i for i, d2 in zip(ids, sq) if d2 > config.chi2_threshold]
     for obs_id in doomed:
         map_state.remove_observation(obs_id)
     return len(doomed)
 
 
-def map_cost(map_state: MapState, config: SolverConfig, kf_ids=None) -> float:
-    """Robust objective over stored observations plus normal factors."""
-    K = map_state.intrinsics
-    if kf_ids is None:
-        kf_ids = range(len(map_state.keyframes))
-    inv_sigma = 1.0 / config.sigma_px
-    sqrt_lam = math.sqrt(config.loss.normal_weight)
-    total = 0.0
-    for kf_id in kf_ids:
-        kf = map_state.keyframes[kf_id]
-        for obs_id in sorted(kf.observation_ids):
-            obs = map_state.observations[obs_id]
-            lm = map_state.landmarks[obs.landmark_id]
-            r = (
-                project(K, transform_point(kf.pose, lm.position)) - obs.uvu
-            ) * inv_sigma
-            total += float(huber(np.linalg.norm(r), config.loss.huber_delta_repro)[0])
-        if (
-            config.loss.normal_weight > 0.0
-            and kf.basis is not None
-            and map_state.world_normal is not None
-        ):
-            rn = sqrt_lam * normal_residual(
-                kf.basis, kf.pose.R, map_state.world_normal, kf.normal
-            )
-            total += float(
-                huber(np.linalg.norm(rn), config.loss.huber_delta_normal)[0]
-            )
-    return total
+def map_cost(map_state: MapState, config: SolverConfig) -> float:
+    """Robust objective over stored observations plus normal factors: the
+    cost of a bundle adjustment whose window is every keyframe."""
+    return _BAProblem(map_state, range(len(map_state.keyframes)), config).ev.cost
 
 
 @dataclass(frozen=True)
@@ -595,8 +594,9 @@ class _BAProblem:
     """Linearization workspace for one local bundle adjustment call.
 
     Holds the window structure (free poses, landmark order, observation
-    index arrays) and the current state (poses, landmark positions, world
-    normal). Rebuilt from the map after a mid-run outlier rejection.
+    index arrays), the current state (poses, landmark positions, world
+    normal) and the objective evaluated there. Rebuilt from the map after a
+    mid-run outlier rejection.
     """
 
     def __init__(self, map_state: MapState, window_ids, config: SolverConfig):
@@ -610,7 +610,6 @@ class _BAProblem:
             for obs_id in kfs[kf_id].observation_ids:
                 lm_ids.add(map_state.observations[obs_id].landmark_id)
         self.lm_ids = sorted(lm_ids)
-        self.lm_index = {lm: i for i, lm in enumerate(self.lm_ids)}
 
         participating = set(window_ids)
         for lm in self.lm_ids:
@@ -618,91 +617,71 @@ class _BAProblem:
         self.free_ids = sorted(
             k for k in window_ids if not kfs[k].fixed
         )
-        self.free_index = {k: i for i, k in enumerate(self.free_ids)}
+        free_index = {k: i for i, k in enumerate(self.free_ids)}
         self.all_kf_ids = sorted(participating)
+        kf_row = {k: i for i, k in enumerate(self.all_kf_ids)}
 
-        obs_rows = []
-        for lm in self.lm_ids:
-            for kf_id, obs_id in sorted(map_state.landmarks[lm].observations.items()):
-                obs_rows.append((kf_id, self.lm_index[lm], obs_id))
-        if not obs_rows:
-            raise ValueError("bundle adjustment window has no observations")
-        self.obs_kf = np.array([row[0] for row in obs_rows], dtype=int)
-        self.obs_lm = np.array([row[1] for row in obs_rows], dtype=int)
-        self.obs_ids = np.array([row[2] for row in obs_rows], dtype=int)
+        # one row per observation: pose row, landmark index, observation id
+        obs_rows = [
+            (kf_row[kf_id], i, obs_id)
+            for i, lm in enumerate(self.lm_ids)
+            for kf_id, obs_id in sorted(map_state.landmarks[lm].observations.items())
+        ]
+        rows = np.array(obs_rows, dtype=int).reshape(-1, 3)
+        self.obs_pose, self.obs_lm, self.obs_ids = rows.T
         self.obs_uvu = np.array(
             [map_state.observations[i].uvu for i in self.obs_ids]
-        )
-        self.obs_free = np.array(
-            [self.free_index.get(k, -1) for k in self.obs_kf], dtype=int
-        )
-        # per-keyframe slices for vectorized projection at a single pose
-        self.by_kf = {
-            k: np.flatnonzero(self.obs_kf == k) for k in self.all_kf_ids
-        }
-        kf_pos = {k: i for i, k in enumerate(self.all_kf_ids)}
-        self._obs_kf_pos = np.array([kf_pos[k] for k in self.obs_kf], dtype=int)
+        ).reshape(-1, 3)
+        # free-pose index of each pose row, -1 for poses held fixed
+        free_of_row = np.array([free_index.get(k, -1) for k in self.all_kf_ids])
+        self.obs_free = free_of_row[self.obs_pose]
         # rows are grouped by landmark already; cache segment-sum boundaries
-        self._lm_starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(self.obs_lm)) + 1]
-        )
+        # (indices are >= 0, so prepending -1 starts the first segment)
+        self._lm_starts = np.flatnonzero(np.diff(self.obs_lm, prepend=-1))
         self._lm_segment = self.obs_lm[self._lm_starts]
         free_rows = np.flatnonzero(self.obs_free >= 0)
         order = np.argsort(self.obs_free[free_rows], kind="stable")
         self._free_rows = free_rows[order]
         sorted_free = self.obs_free[self._free_rows]
-        if self._free_rows.size:
-            self._free_starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(sorted_free)) + 1]
-            )
-            self._free_segment = sorted_free[self._free_starts]
-        else:
-            self._free_starts = np.zeros(0, dtype=int)
-            self._free_segment = np.zeros(0, dtype=int)
-
-        self.normal_kfs = []
-        if config.loss.normal_weight > 0.0 and map_state.world_normal is not None:
-            self.normal_kfs = [
-                k for k in sorted(window_ids) if kfs[k].basis is not None
-            ]
-        self.nw_active = bool(self.normal_kfs) and map_state.normal_active
+        self._free_starts = np.flatnonzero(np.diff(sorted_free, prepend=-1))
+        self._free_segment = sorted_free[self._free_starts]
 
         # state
         self.poses = {k: kfs[k].pose for k in self.all_kf_ids}
         self.points = np.array(
             [map_state.landmarks[lm].position for lm in self.lm_ids]
-        )
+        ).reshape(-1, 3)
         self.n_w = (
             None if map_state.world_normal is None else map_state.world_normal.copy()
         )
 
-    def cost(self, poses, points, n_w) -> float:
-        cfg = self.config
-        K = self.map.intrinsics
-        R_stack = np.array([poses[k].R for k in self.all_kf_ids])
-        t_stack = np.array([poses[k].t for k in self.all_kf_ids])
-        idx = self._obs_kf_pos
-        pc = (
-            np.einsum("nij,nj->ni", R_stack[idx], points[self.obs_lm])
-            + t_stack[idx]
-        )
-        if np.any(pc[:, 2] <= 0.0):
-            return np.inf
-        r = (project(K, pc) - self.obs_uvu) / cfg.sigma_px
-        norms = np.linalg.norm(r, axis=1)
-        total = float(np.sum(huber(norms, cfg.loss.huber_delta_repro)[0]))
-        if n_w is not None and self.normal_kfs:
-            sqrt_lam = math.sqrt(cfg.loss.normal_weight)
-            for k in self.normal_kfs:
-                kf = self.map.keyframes[k]
-                rn = sqrt_lam * normal_residual(kf.basis, poses[k].R, n_w, kf.normal)
-                total += float(
-                    huber(np.linalg.norm(rn), cfg.loss.huber_delta_normal)[0]
-                )
-        return total
+        # normal-factor rows of the window keyframes that measured a normal
+        self.normals = None
+        normal_kfs = [kfs[k] for k in sorted(window_ids) if kfs[k].basis is not None]
+        if normal_kfs and config.loss.normal_weight > 0.0 and self.n_w is not None:
+            self.normals = (
+                np.array([kf_row[kf.id] for kf in normal_kfs]),
+                np.array([kf.basis for kf in normal_kfs]),
+                np.array([kf.normal for kf in normal_kfs]),
+            )
+            self.normal_free = free_of_row[self.normals[0]]
+        self.nw_active = self.normals is not None and map_state.normal_active
+        self.ev = self.evaluate(self.poses, self.points, self.n_w)
 
-    def points_of(self, points, rows):
-        return points[self.obs_lm[rows]]
+    def evaluate(self, poses, points, n_w) -> _Evaluation:
+        R, t = _pose_stack(poses[k] for k in self.all_kf_ids)
+        return _evaluate(
+            self.map.intrinsics,
+            self.config,
+            R,
+            t,
+            points,
+            self.obs_pose,
+            self.obs_lm,
+            self.obs_uvu,
+            self.normals,
+            n_w,
+        )
 
     def write_back(self):
         for k in self.free_ids:
@@ -715,33 +694,32 @@ class _BAProblem:
 
 
 def _ba_linearize(problem: _BAProblem):
-    """Residuals, Jacobians, and robust weights at the problem's state."""
+    """Whitened Jacobians at the problem's state, from the camera-frame points
+    of ``problem.ev``; the normal ones (None without normal factors) are
+    weighted like ``problem.ev.rn``."""
     cfg = problem.config
-    K = problem.map.intrinsics
     inv_sigma = 1.0 / cfg.sigma_px
-    M = problem.obs_ids.size
-    r_all = np.zeros((M, 3))
-    Jp_all = np.zeros((M, 3, 6))
-    Jl_all = np.zeros((M, 3, 3))
-    for k in problem.all_kf_ids:
-        rows = problem.by_kf[k]
-        if not rows.size:
-            continue
-        pose = problem.poses[k]
-        pts = problem.points_of(problem.points, rows)
-        r, _ = _whitened_norms(K, pose, pts, problem.obs_uvu[rows], inv_sigma)
-        Jp, Jl = reprojection_jacobians(K, pose, pts)
-        r_all[rows] = r
-        Jl_all[rows] = Jl * inv_sigma
-        if problem.free_index.get(k, -1) >= 0:
-            Jp_all[rows] = Jp * inv_sigma
-    norms = np.linalg.norm(r_all, axis=1)
-    w_all = huber(norms, cfg.loss.huber_delta_repro)[1]
-    return r_all, Jp_all, Jl_all, w_all
+    R, t = _pose_stack(problem.poses[k] for k in problem.all_kf_ids)
+    rows = problem.obs_pose
+    Jp, Jl = reprojection_jacobians(
+        problem.map.intrinsics,
+        (R[rows], t[rows]),
+        problem.points[problem.obs_lm],
+        pc=problem.ev.pc,
+    )
+    J_phi = J_nw = None
+    if problem.normals is not None:
+        sqrt_lam = math.sqrt(cfg.loss.normal_weight)
+        J_phi, J_nw = normal_jacobian(
+            problem.normals[1], R[problem.normals[0]], problem.n_w
+        )
+        J_phi, J_nw = sqrt_lam * J_phi, sqrt_lam * J_nw
+    return Jp * inv_sigma, Jl * inv_sigma, J_phi, J_nw
 
 
-def _ba_assemble(problem: _BAProblem, r_all, Jp_all, Jl_all, w_all):
+def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
     """Accumulate the Schur-ready normal-equation blocks."""
+    ev = problem.ev
     P = len(problem.free_ids)
     L = len(problem.lm_ids)
     extra = 1 if problem.nw_active else 0
@@ -751,52 +729,44 @@ def _ba_assemble(problem: _BAProblem, r_all, Jp_all, Jl_all, w_all):
     gl = np.zeros((L + extra, 3))
     W = np.zeros((6 * P, 3 * (L + extra)))
 
-    wJl = w_all[:, None, None] * Jl_all
+    wJl = ev.w[:, None, None] * Jl_all
     Hll[problem._lm_segment] = np.add.reduceat(
         np.einsum("nab,nac->nbc", Jl_all, wJl), problem._lm_starts, axis=0
     )
     gl[problem._lm_segment] = np.add.reduceat(
-        np.einsum("nab,na->nb", wJl, r_all), problem._lm_starts, axis=0
+        np.einsum("nab,na->nb", wJl, ev.r), problem._lm_starts, axis=0
     )
 
     free = problem._free_rows
     if free.size:
         p_idx = problem.obs_free[free]
         Jp = Jp_all[free]
-        wJp = w_all[free, None, None] * Jp
+        wJp = ev.w[free, None, None] * Jp
         Hpp[problem._free_segment] = np.add.reduceat(
             np.einsum("nab,nac->nbc", Jp, wJp), problem._free_starts, axis=0
         )
         gp[problem._free_segment] = np.add.reduceat(
-            np.einsum("nab,na->nb", wJp, r_all[free]), problem._free_starts, axis=0
+            np.einsum("nab,na->nb", wJp, ev.r[free]), problem._free_starts, axis=0
         )
         blocks = np.einsum("nab,nac->nbc", wJp, Jl_all[free])
         rows = 6 * p_idx[:, None, None] + np.arange(6)[None, :, None]
         cols = 3 * problem.obs_lm[free][:, None, None] + np.arange(3)[None, None, :]
         W[rows, cols] = blocks
 
-    if problem.n_w is not None and problem.normal_kfs:
-        cfg = problem.config
-        sqrt_lam = math.sqrt(cfg.loss.normal_weight)
-        for k in problem.normal_kfs:
-            kf = problem.map.keyframes[k]
-            rn = sqrt_lam * normal_residual(
-                kf.basis, problem.poses[k].R, problem.n_w, kf.normal
-            )
-            J_phi, J_nw = normal_jacobian(kf.basis, problem.poses[k].R, problem.n_w)
-            J_phi = sqrt_lam * J_phi
-            J_nw = sqrt_lam * J_nw
-            wn = huber(np.linalg.norm(rn), cfg.loss.huber_delta_normal)[1]
-            p = problem.free_index.get(k, -1)
-            if p >= 0:
-                Hpp[p, 3:, 3:] += wn * J_phi.T @ J_phi
-                gp[p, 3:] += wn * J_phi.T @ rn
-            if problem.nw_active:
-                Hll[L] += wn * J_nw.T @ J_nw
-                gl[L] += wn * J_nw.T @ rn
-                if p >= 0:
-                    W[6 * p + 3 : 6 * p + 6, 3 * L : 3 * L + 3] += wn * J_phi.T @ J_nw
+    if J_phi is not None:
+        # one normal row per keyframe, so the free-pose indices are distinct
+        wJ_phi = ev.wn[:, None, None] * J_phi
+        p = problem.normal_free
+        on = p >= 0
+        Hpp[p[on], 3:, 3:] += np.einsum("nab,nac->nbc", wJ_phi[on], J_phi[on])
+        gp[p[on], 3:] += np.einsum("nab,na->nb", wJ_phi[on], ev.rn[on])
         if problem.nw_active:
+            wJ_nw = ev.wn[:, None, None] * J_nw
+            Hll[L] += np.einsum("nab,nac->bc", wJ_nw, J_nw)
+            gl[L] += np.einsum("nab,na->b", wJ_nw, ev.rn)
+            rows = 6 * p[on][:, None, None] + 3 + np.arange(3)[None, :, None]
+            cols = 3 * L + np.arange(3)[None, None, :]
+            W[rows, cols] += np.einsum("nab,nac->nbc", wJ_phi[on], J_nw[on])
             # the residual is scale-free in n_w, so its radial direction has
             # exactly zero curvature and gradient; pin it so the block inverts
             n_hat = problem.n_w / np.linalg.norm(problem.n_w)
@@ -856,7 +826,6 @@ def local_bundle_adjustment(
         neighbors = sorted(neighbors, key=lambda k: (-shared[k], k))[: cap - 1]
     window = {current_kf_id} | set(neighbors)
     problem = _BAProblem(map_state, sorted(window), config)
-    cost = problem.cost(problem.poses, problem.points, problem.n_w)
     lam = config.initial_damping
     accepted = 0
     iterations = 0
@@ -864,7 +833,7 @@ def local_bundle_adjustment(
     any_accept = False
 
     def run_rejection() -> int:
-        nonlocal problem, cost, removed_total
+        nonlocal problem, removed_total
         problem.write_back()
         removed = reject_outliers(
             map_state, config, obs_ids=problem.obs_ids.tolist()
@@ -875,19 +844,17 @@ def local_bundle_adjustment(
         )
         if removed:
             problem = _BAProblem(map_state, problem.window_ids, config)
-            cost = problem.cost(problem.poses, problem.points, problem.n_w)
         return removed
 
     # behind-camera observations come out with infinite residuals, so this
     # pass also clears any state the solver could not even linearize
     run_rejection()
-    cost_initial = cost
+    cost_initial = problem.ev.cost
     final_pass_done = False
 
     while iterations < config.max_iterations:
         iterations += 1
-        r_all, Jp_all, Jl_all, w_all = _ba_linearize(problem)
-        Hpp, gp, Hll, gl, W = _ba_assemble(problem, r_all, Jp_all, Jl_all, w_all)
+        Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
 
         step_accepted = False
         converged = False
@@ -914,20 +881,23 @@ def local_bundle_adjustment(
             new_nw = problem.n_w
             if problem.nw_active:
                 new_nw = problem.n_w + dl[L]
-            new_cost = problem.cost(new_poses, new_points, new_nw)
-            if new_cost < cost:
-                rel = (cost - new_cost) / max(cost, 1e-300)
+            new_ev = problem.evaluate(new_poses, new_points, new_nw)
+            if new_ev.cost < problem.ev.cost:
+                rel = (problem.ev.cost - new_ev.cost) / max(problem.ev.cost, 1e-300)
                 problem.poses = new_poses
                 problem.points = new_points
                 problem.n_w = new_nw
-                cost = new_cost
+                problem.ev = new_ev
                 lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
                 accepted += 1
                 any_accept = True
                 step_accepted = True
                 converged = rel < config.cost_tolerance
                 logger.debug(
-                    "ba[%d]: iter %d accepted cost %.9g", current_kf_id, accepted, cost
+                    "ba[%d]: iter %d accepted cost %.9g",
+                    current_kf_id,
+                    accepted,
+                    new_ev.cost,
                 )
                 break
             lam *= config.damping_increase
@@ -953,7 +923,7 @@ def local_bundle_adjustment(
         iterations,
         accepted,
         cost_initial,
-        cost,
+        problem.ev.cost,
         removed_total,
     )
     return BAReport(
@@ -964,7 +934,7 @@ def local_bundle_adjustment(
         iterations=iterations,
         accepted_steps=accepted,
         cost_initial=cost_initial,
-        cost_final=cost,
+        cost_final=problem.ev.cost,
         removed_observations=removed_total,
     )
 

@@ -21,6 +21,9 @@ from .geometry import Intrinsics, NonPositiveDepth, PoseSE3, skew
 CHI2_95_3DOF = 7.815
 CHI2_95_2DOF = 5.991
 
+#: Largest deviation from unit length accepted for a measured frame normal.
+NORMAL_UNIT_TOL = 1e-9
+
 _SEED_X = np.array([1.0, 0.0, 0.0])
 _SEED_Y = np.array([0.0, 1.0, 0.0])
 
@@ -49,15 +52,12 @@ class StereoObservation:
     uL: float
     v: float
     uR: float
-    weight: float = 1.0
 
     def __post_init__(self):
         if not self.uL > self.uR:
             raise ValueError(
                 f"stereo observation needs uL > uR, got {self.uL} <= {self.uR}"
             )
-        if not self.weight > 0.0:
-            raise ValueError("observation weight must be positive")
         # cache the packed measurement; profiling showed per-access allocation
         # dominating problem setup on large windows
         object.__setattr__(self, "_uvu", np.array([self.uL, self.v, self.uR]))
@@ -95,7 +95,7 @@ def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:
     n = np.asarray(frame_normal, dtype=float)
     if n.shape != (3,):
         raise ValueError("frame normal must have shape (3,)")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(n) - 1.0) > NORMAL_UNIT_TOL:
         raise ValueError("frame normal must be unit length")
     v = _SEED_X if abs(n[0]) <= 0.9 else _SEED_Y
     b0 = np.cross(n, v)
@@ -130,23 +130,28 @@ def _pixel_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     return J
 
 
-def reprojection_jacobians(K: Intrinsics, pose: PoseSE3, point: np.ndarray):
+def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     """Analytic Jacobians of the reprojection residual at the current pose.
 
     Returns (J_pose, J_point): (3,6) and (3,3) for a single point, or
-    (N,3,6) and (N,3,3) for a batch. J_pose columns follow the twist order
-    (rho, phi); under the left-multiplicative update the camera-frame point
-    moves as p_c + rho + phi x p_c, so J_pose = Jpi @ [I | -skew(p_c)].
+    (N,3,6) and (N,3,3) for a batch. ``pose`` is a PoseSE3 or an ``(R, t)``
+    pair whose arrays may hold one pose per point, (N,3,3) and (N,3); ``pc``
+    passes the camera-frame points when the caller has them already.
+    J_pose columns follow the twist order (rho, phi); under the
+    left-multiplicative update the camera-frame point moves as
+    p_c + rho + phi x p_c, so J_pose = Jpi @ [I | -skew(p_c)].
     """
     point = np.asarray(point, dtype=float)
     single = point.ndim == 1
-    pts = np.atleast_2d(point)
-    pc = pts @ pose.R.T + pose.t
+    R, t = (pose.R, pose.t) if isinstance(pose, PoseSE3) else pose
+    if pc is None:
+        pc = np.einsum("...ij,...j->...i", R, np.atleast_2d(point)) + t
+    pc = np.atleast_2d(pc)
     if np.any(pc[:, 2] <= 0.0):
         raise NonPositiveDepth("point behind camera while linearizing")
     Jpi = _pixel_jacobian(K, pc)
     J_pose = np.concatenate([Jpi, -np.einsum("nij,njk->nik", Jpi, skew(pc))], axis=2)
-    J_point = Jpi @ pose.R
+    J_point = Jpi @ R
     if single:
         return J_pose[0], J_point[0]
     return J_pose, J_point
@@ -160,23 +165,27 @@ def normal_residual(
 ) -> np.ndarray:
     """Tangent-plane residual B (R n_w/||n_w|| - n_k), shape (2,).
 
-    Scale-invariant in the world normal; components of the difference along
-    n_k are annihilated by construction of the basis.
+    ``basis``, ``rotation`` and ``frame_normal`` may carry a leading keyframe
+    axis, (K,2,3), (K,3,3) and (K,3), for a (K,2) result against the shared
+    world normal. Scale-invariant in the world normal; components of the
+    difference along n_k are annihilated by construction of the basis.
     """
     n_w = np.asarray(world_normal, dtype=float)
     norm = np.linalg.norm(n_w)
     if norm <= 1e-6:
         raise ValueError("world normal norm must exceed 1e-6")
     d = rotation @ (n_w / norm) - np.asarray(frame_normal, dtype=float)
-    return basis @ d
+    return np.einsum("...ij,...j->...i", basis, d)
 
 
 def normal_jacobian(basis: np.ndarray, rotation: np.ndarray, world_normal: np.ndarray):
     """Jacobians (J_phi, J_nw) of the normal residual, each 2x3.
 
-    J_phi is with respect to the rotational half of a left-multiplicative
-    twist (the translational half is identically zero); J_nw differentiates
-    through the normalization of the world normal.
+    Batched like :func:`normal_residual`: a leading keyframe axis on
+    ``basis`` and ``rotation`` gives (K,2,3) Jacobians. J_phi is with
+    respect to the rotational half of a left-multiplicative twist (the
+    translational half is identically zero); J_nw differentiates through the
+    normalization of the world normal.
     """
     n_w = np.asarray(world_normal, dtype=float)
     norm = np.linalg.norm(n_w)

@@ -181,6 +181,50 @@ def test_run_tracking_loss_exit_code_names_frame(dataset, tmp_path, capsys):
     assert "tracking lost at frame 1" in capsys.readouterr().err
 
 
+def _edit_second_line(path, column, edit):
+    """Replace one field of the first data row of a CSV file."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[1].split(",")
+    fields[header.index(column)] = edit(dict(zip(header, fields)))
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_INPUTS = [
+    pytest.param("obs.csv", "uL", lambda row: "nan", id="nan-pixel"),
+    pytest.param("obs.csv", "v", lambda row: "inf", id="inf-pixel"),
+    pytest.param("obs.csv", "uR", lambda row: "-inf", id="minus-inf-pixel"),
+    pytest.param("obs.csv", "uR", lambda row: row["uL"], id="zero-disparity"),
+    pytest.param(
+        "obs.csv", "uR", lambda row: repr(float(row["uL"]) + 1.0),
+        id="negative-disparity",
+    ),
+    pytest.param(
+        "normals.csv", "nx", lambda row: repr(float(row["nx"]) + 0.5),
+        id="non-unit-normal",
+    ),
+    pytest.param("normals.csv", "nz", lambda row: "nan", id="nan-normal"),
+]
+
+
+@pytest.mark.parametrize("name, column, edit", MALFORMED_INPUTS)
+def test_run_malformed_measurement_is_a_data_error(
+    dataset, tmp_path, name, column, edit
+):
+    d = _copy_dataset(dataset, tmp_path / "malformed")
+    _edit_second_line(d / name, column, edit)
+    out = tmp_path / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normalvo", "--quiet", "run", str(d), str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # --- evaluate ---
 
 

@@ -27,8 +27,20 @@ from normalvo.estimator import (
     track_frame,
 )
 from normalvo.evaluation import Trajectory, ate
-from normalvo.factors import RobustLossConfig, make_tangent_basis
-from normalvo.geometry import Intrinsics, PoseSE3, project, se3_exp, so3_exp
+from normalvo.factors import (
+    RobustLossConfig,
+    huber,
+    make_tangent_basis,
+    normal_residual,
+)
+from normalvo.geometry import (
+    Intrinsics,
+    PoseSE3,
+    project,
+    se3_exp,
+    so3_exp,
+    transform_point,
+)
 from normalvo.simulator import SceneConfig, generate_sequence
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, b=0.2)
@@ -562,13 +574,142 @@ def test_ba_accepted_costs_never_increase(caplog):
     assert report.removed_observations == 4
 
 
+def reference_map_cost(map_state, config):
+    """The robust objective as a plain loop over keyframes and observations,
+    the reference the package's vectorized evaluator is checked against."""
+    K = map_state.intrinsics
+    kf_ids = range(len(map_state.keyframes))
+    inv_sigma = 1.0 / config.sigma_px
+    sqrt_lam = math.sqrt(config.loss.normal_weight)
+    total = 0.0
+    for kf_id in kf_ids:
+        kf = map_state.keyframes[kf_id]
+        for obs_id in sorted(kf.observation_ids):
+            obs = map_state.observations[obs_id]
+            lm = map_state.landmarks[obs.landmark_id]
+            r = (
+                project(K, transform_point(kf.pose, lm.position)) - obs.uvu
+            ) * inv_sigma
+            total += float(huber(np.linalg.norm(r), config.loss.huber_delta_repro)[0])
+        if (
+            config.loss.normal_weight > 0.0
+            and kf.basis is not None
+            and map_state.world_normal is not None
+        ):
+            rn = sqrt_lam * normal_residual(
+                kf.basis, kf.pose.R, map_state.world_normal, kf.normal
+            )
+            total += float(
+                huber(np.linalg.norm(rn), config.loss.huber_delta_normal)[0]
+            )
+    return total
+
+
 def test_ba_vectorized_cost_matches_reference_loop():
-    # the solver's batched objective against the plain per-observation sum
+    # bundle adjustment, map_cost and tracking all evaluate the objective
+    # through one batched evaluator; each must agree with the plain loop
     config = SolverConfig()
-    ms, _, _ = two_keyframe_map(config, n=30, seed=17, with_normal=True, pixel_noise=0.7)
+    ms, _, poses = two_keyframe_map(
+        config, n=30, seed=17, with_normal=True, pixel_noise=0.7
+    )
+    for lm_id in range(3):  # gross errors reach Huber's linear branch
+        obs_id = ms.landmarks[lm_id].observations[1]
+        dirty = ms.observations[obs_id].uvu + np.array([30.0, -20.0, 30.0])
+        ms.remove_observation(obs_id)
+        ms.add_observation(1, lm_id, dirty)
+    reference = reference_map_cost(ms, config)
+
     problem = _BAProblem(ms, [0, 1], config)
-    vec = problem.cost(problem.poses, problem.points, problem.n_w)
-    assert vec == pytest.approx(map_cost(ms, config), rel=1e-12)
+    assert problem.nw_active
+    evaluation = problem.evaluate(problem.poses, problem.points, problem.n_w)
+    assert evaluation.cost == pytest.approx(reference, rel=1e-12)
+    assert map_cost(ms, config) == pytest.approx(reference, rel=1e-12)
+
+    # a third frame tracked against the same landmarks: its cost at the
+    # returned pose is the reference objective of a map holding that frame
+    rng = np.random.default_rng(23)
+    pose2 = se3_exp(np.array([0.05, 0.0, 0.01, 0.0, 0.01, 0.0])).compose(poses[1])
+    ids = np.arange(30)
+    points = np.array([ms.landmarks[i].position for i in ids])
+    meas = project(K, points @ pose2.R.T + pose2.t) + rng.normal(0.0, 0.7, (30, 3))
+    meas[:3] += np.array([25.0, 15.0, 25.0])
+    normal = unit(pose2.R @ ms.world_normal + np.array([0.02, -0.01, 0.0]))
+    frame = FrameData(2, 2.0, ids, meas, frame_normal=normal)
+    result = track_frame(ms, frame, config, prev_pose=poses[1])
+
+    solo = MapState(K, config)
+    solo.world_normal = ms.world_normal
+    solo.keyframes.append(
+        Keyframe(
+            id=0,
+            frame_id=2,
+            timestamp=2.0,
+            pose=result.pose,
+            normal=normal,
+            basis=make_tangent_basis(normal),
+        )
+    )
+    for i in ids:
+        solo.landmarks[int(i)] = Landmark(id=int(i), position=points[i])
+        solo.add_observation(0, int(i), meas[i])
+    assert result.cost == pytest.approx(reference_map_cost(solo, config), rel=1e-12)
+
+
+def test_map_cost_of_a_map_without_observations_is_its_normal_terms():
+    config = SolverConfig()
+    ms, _, poses = two_keyframe_map(config, n=5, seed=17, with_normal=True)
+    ms.keyframes[1].pose = se3_exp(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0])).compose(
+        poses[1]
+    )
+    for obs_id in list(ms.observations):
+        ms.remove_observation(obs_id)
+    assert not ms.landmarks
+
+    cost = map_cost(ms, config)
+
+    assert cost > 0.0
+    assert cost == pytest.approx(reference_map_cost(ms, config), rel=1e-12)
+
+
+def behind_camera_map(config):
+    """Two-keyframe map whose landmark 0 lies in front of keyframe 0 (which
+    measures it exactly) but behind keyframe 1, whose stale observation of
+    it stays. Returns (map_state, id of the behind-camera observation)."""
+    ms, _, poses = two_keyframe_map(config, n=40, seed=22)
+    p = np.array([10.0, 0.0, 0.2])
+    assert p[2] > 0.0 > (poses[1].R @ p + poses[1].t)[2]
+    ms.landmarks[0].position = p
+    ms.remove_observation(ms.landmarks[0].observations[0])
+    ms.add_observation(0, 0, project(K, p))
+    return ms, ms.landmarks[0].observations[1]
+
+
+def test_reject_outliers_removes_observation_behind_camera():
+    config = SolverConfig()
+    ms, behind = behind_camera_map(config)
+
+    removed = reject_outliers(ms, config)
+
+    assert removed == 1
+    assert behind not in ms.observations
+    assert set(ms.landmarks[0].observations) == {0}
+    assert ms.covisibility_consistent()
+
+
+def test_ba_first_rejection_pass_clears_behind_camera_observation():
+    # linearizing a point behind its camera raises NonPositiveDepth, so the
+    # pass before the first iteration must already have dropped it
+    config = SolverConfig()
+    ms, behind = behind_camera_map(config)
+
+    report = local_bundle_adjustment(ms, 1, config)
+
+    assert report.removed_observations == 1
+    assert math.isfinite(report.cost_initial)
+    assert report.cost_final <= report.cost_initial
+    assert behind not in ms.observations
+    assert set(ms.landmarks[0].observations) == {0}
+    assert ms.covisibility_consistent()
 
 
 def test_ba_world_normal_frozen_after_init_window():

@@ -247,7 +247,45 @@ def test_batched_jacobians_match_single():
         np.testing.assert_allclose(Jl_b[i], Jl, atol=0)
 
 
+def test_jacobians_with_one_pose_per_point_match_single_pose_calls():
+    rng = np.random.default_rng(78)
+    poses = [random_pose(rng) for _ in range(4)]
+    points = np.stack(
+        [p.inverse().R @ np.array([0.2 * i, -0.1, 3.0 + i]) + p.inverse().t
+         for i, p in enumerate(poses)]
+    )
+    R = np.stack([p.R for p in poses])
+    t = np.stack([p.t for p in poses])
+    pc = np.einsum("nij,nj->ni", R, points) + t
+    for given in (None, pc):
+        Jp_b, Jl_b = reprojection_jacobians(K, (R, t), points, pc=given)
+        for i, pose in enumerate(poses):
+            Jp, Jl = reprojection_jacobians(K, pose, points[i])
+            np.testing.assert_allclose(Jp_b[i], Jp, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(Jl_b[i], Jl, rtol=1e-12, atol=1e-12)
+
+
 # --- normal factor jacobians -----------------------------------------------
+
+
+def test_normal_factor_batched_over_keyframes_matches_single_calls():
+    rng = np.random.default_rng(2003)
+    n_w = random_unit(rng) * 1.7
+    normals = [random_unit(rng) for _ in range(5)]
+    B = np.stack([make_tangent_basis(n) for n in normals])
+    R = np.stack([random_pose(rng).R for _ in range(5)])
+    r_b = normal_residual(B, R, n_w, np.stack(normals))
+    J_phi_b, J_nw_b = normal_jacobian(B, R, n_w)
+    assert r_b.shape == (5, 2) and J_phi_b.shape == J_nw_b.shape == (5, 2, 3)
+    for k in range(5):
+        J_phi, J_nw = normal_jacobian(B[k], R[k], n_w)
+        np.testing.assert_allclose(
+            r_b[k], normal_residual(B[k], R[k], n_w, normals[k]), rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(J_phi_b[k], J_phi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(J_nw_b[k], J_nw, rtol=0, atol=1e-15)
+
+
 
 
 def test_normal_jacobians_match_finite_differences():
@@ -300,5 +338,5 @@ def test_observation_requires_positive_disparity():
 
 
 def test_observation_uvu_vector():
-    obs = StereoObservation(3, 9, uL=120.0, v=80.0, uR=110.0, weight=2.0)
+    obs = StereoObservation(3, 9, uL=120.0, v=80.0, uR=110.0)
     assert np.array_equal(obs.uvu, [120.0, 80.0, 110.0])
