@@ -23,7 +23,6 @@ from .factors import (
     CHI2_95_3DOF,
     NORMAL_UNIT_TOL,
     RobustLossConfig,
-    StereoObservation,
     huber,
     make_tangent_basis,
     normal_jacobian,
@@ -156,7 +155,6 @@ class Keyframe:
     pose: PoseSE3
     normal: np.ndarray | None = None
     basis: np.ndarray | None = None
-    observation_ids: set = field(default_factory=set)
     fixed: bool = False
     reference_inliers: int = 0
 
@@ -165,12 +163,16 @@ class Keyframe:
 class Landmark:
     id: int
     position: np.ndarray
-    observations: dict = field(default_factory=dict)  # keyframe id -> obs id
     misses: int = 0  # consecutive tracking rejections, reset on acceptance
 
 
 class MapState:
-    """Keyframes, landmarks, observations, and covisibility bookkeeping.
+    """Keyframes, landmarks and the observations tying them together.
+
+    Observations are three parallel arrays: keyframe id ``obs_kf``, landmark
+    id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
+    row; removal sets its ``obs_kf`` to -1, so ids stay valid. Covisibility
+    is counted from these arrays when asked for.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
@@ -181,73 +183,60 @@ class MapState:
         self.config = config
         self.keyframes: list[Keyframe] = []
         self.landmarks: dict[int, Landmark] = {}
-        self.observations: dict[int, StereoObservation] = {}
-        self.covisibility: dict[int, dict[int, int]] = {}
+        self.obs_kf = np.zeros(0, dtype=int)
+        self.obs_lm = np.zeros(0, dtype=int)
+        self.obs_uvu = np.zeros((0, 3))
         self.world_normal: np.ndarray | None = None
         self.normal_init_remaining: int = config.normal_init_window
-        self._next_obs_id = 0
 
     @property
     def normal_active(self) -> bool:
         """True while the world normal is still an optimization variable."""
         return self.world_normal is not None and self.normal_init_remaining > 0
 
-    def add_observation(self, kf_id: int, landmark_id: int, uvu) -> int:
-        lm = self.landmarks[landmark_id]
-        if kf_id in lm.observations:
-            raise ValueError(
-                f"keyframe {kf_id} already observes landmark {landmark_id}"
-            )
-        obs_id = self._next_obs_id
-        self._next_obs_id += 1
-        self.observations[obs_id] = StereoObservation(
-            frame_id=kf_id,
-            landmark_id=landmark_id,
-            uL=float(uvu[0]),
-            v=float(uvu[1]),
-            uR=float(uvu[2]),
-        )
-        self.keyframes[kf_id].observation_ids.add(obs_id)
-        for other in lm.observations:
-            self.covisibility.setdefault(kf_id, {}).setdefault(other, 0)
-            self.covisibility.setdefault(other, {}).setdefault(kf_id, 0)
-            self.covisibility[kf_id][other] += 1
-            self.covisibility[other][kf_id] += 1
-        lm.observations[kf_id] = obs_id
-        return obs_id
+    @property
+    def observations(self) -> np.ndarray:
+        """Ids of the live observations."""
+        return np.flatnonzero(self.obs_kf >= 0)
 
-    def remove_observation(self, obs_id: int):
-        obs = self.observations.pop(obs_id)
-        kf_id = obs.frame_id
-        lm = self.landmarks[obs.landmark_id]
-        self.keyframes[kf_id].observation_ids.discard(obs_id)
-        del lm.observations[kf_id]
-        for other in lm.observations:
-            self.covisibility[kf_id][other] -= 1
-            self.covisibility[other][kf_id] -= 1
-        if not lm.observations:
-            del self.landmarks[lm.id]
+    def add_observations(self, kf_id: int, landmark_ids, uvu) -> np.ndarray:
+        """Record measurements ``uvu`` (N, 3) of existing landmarks from one
+        keyframe; returns their ids. A keyframe observes a landmark once."""
+        ids = np.asarray(landmark_ids, dtype=int).reshape(-1)
+        seen = np.isin(ids, self.obs_lm[self.obs_kf == kf_id])
+        if seen.any() or np.unique(ids).size != ids.size:
+            raise ValueError(f"keyframe {kf_id} observes a landmark twice")
+        missing = [int(i) for i in ids if int(i) not in self.landmarks]
+        if missing:
+            raise KeyError(f"no landmark {missing[0]}")
+        start = self.obs_kf.size
+        self.obs_kf = np.concatenate([self.obs_kf, np.full(ids.size, kf_id)])
+        self.obs_lm = np.concatenate([self.obs_lm, ids])
+        self.obs_uvu = np.concatenate([self.obs_uvu, np.reshape(uvu, (-1, 3))])
+        return np.arange(start, self.obs_kf.size)
+
+    def remove_observations(self, obs_ids):
+        """Drop observations by id and delete the landmarks left unobserved."""
+        obs_ids = np.asarray(obs_ids, dtype=int)
+        self.obs_kf[obs_ids] = -1
+        touched = np.unique(self.obs_lm[obs_ids])
+        if touched.size:
+            for lm_id in touched[~np.isin(touched, self.obs_lm[self.obs_kf >= 0])]:
+                del self.landmarks[int(lm_id)]
+
+    def covisibility(self, kf_id: int) -> np.ndarray:
+        """Landmarks each keyframe shares with ``kf_id``, indexed by keyframe
+        id (0 for ``kf_id`` itself)."""
+        mine = np.isin(self.obs_lm, self.obs_lm[self.obs_kf == kf_id])
+        others = self.obs_kf[mine & (self.obs_kf >= 0) & (self.obs_kf != kf_id)]
+        return np.bincount(others, minlength=len(self.keyframes))
 
     def covisible_keyframes(self, kf_id: int, min_shared: int) -> list[int]:
-        edges = self.covisibility.get(kf_id, {})
-        return sorted(j for j, count in edges.items() if count >= min_shared)
-
-    def covisibility_consistent(self) -> bool:
-        """Recompute shared-landmark counts from scratch and compare."""
-        fresh: dict[int, dict[int, int]] = {}
-        for lm in self.landmarks.values():
-            kfs = sorted(lm.observations)
-            for a in kfs:
-                for b in kfs:
-                    if a != b:
-                        fresh.setdefault(a, {}).setdefault(b, 0)
-                        fresh[a][b] += 1
-        stored = {
-            k: {j: c for j, c in edges.items() if c > 0}
-            for k, edges in self.covisibility.items()
-        }
-        stored = {k: edges for k, edges in stored.items() if edges}
-        return stored == fresh
+        """Keyframes sharing at least ``min_shared`` landmarks with ``kf_id``,
+        most shared first, ties by id."""
+        shared = self.covisibility(kf_id)
+        ids = np.flatnonzero(shared >= min_shared)
+        return ids[np.lexsort((ids, -shared[ids]))].tolist()
 
 
 def constant_velocity_init(
@@ -455,19 +444,21 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
         lm = map_state.landmarks.get(int(lid))
         if lm is not None:
             lm.misses = 0
-    culled = 0
+    culled = []
     for lid in track.outlier_ids:
         lm = map_state.landmarks.get(int(lid))
         if lm is None:
             continue
         lm.misses += 1
         if lm.misses >= config.cull_misses:
-            for obs_id in list(lm.observations.values()):
-                map_state.remove_observation(obs_id)
-            culled += 1
+            culled.append(lm.id)
     if culled:
-        logger.debug("culled %d landmarks after frame tracking", culled)
-    return culled
+        # "sort" compares element-wise against a short list; numpy's default
+        # builds a lookup table over the whole id range, ten times slower here
+        rows = np.isin(map_state.obs_lm, culled, kind="sort") & (map_state.obs_kf >= 0)
+        map_state.remove_observations(np.flatnonzero(rows))
+        logger.debug("culled %d landmarks after frame tracking", len(culled))
+    return len(culled)
 
 
 def select_keyframe(
@@ -510,24 +501,17 @@ def insert_keyframe(
     )
     map_state.keyframes.append(kf)
 
-    matched = {int(i) for i in np.asarray(matched_ids, dtype=int).ravel()}
-    cam_to_world = pose.inverse()
-    new_landmarks = 0
-    for idx, lm_id in enumerate(frame.landmark_ids):
-        lm_id = int(lm_id)
-        uvu = frame.measurements[idx]
-        if lm_id in matched and lm_id in map_state.landmarks:
-            map_state.add_observation(kf.id, lm_id, uvu)
-        elif lm_id not in map_state.landmarks:
-            if uvu[0] - uvu[2] <= config.min_disparity:
-                continue
-            pc = triangulate(K, uvu, d_min=config.min_disparity)
-            map_state.landmarks[lm_id] = Landmark(
-                id=lm_id, position=transform_point(cam_to_world, pc)
-            )
-            map_state.add_observation(kf.id, lm_id, uvu)
-            new_landmarks += 1
-    kf.reference_inliers = len(kf.observation_ids)
+    ids, meas = frame.landmark_ids, frame.measurements
+    mapped = np.array([int(i) in map_state.landmarks for i in ids], dtype=bool)
+    new = ~mapped & (meas[:, 0] - meas[:, 2] > config.min_disparity)
+    world = transform_point(
+        pose.inverse(), triangulate(K, meas[new], d_min=config.min_disparity)
+    )
+    for lm_id, position in zip(ids[new].tolist(), world):
+        map_state.landmarks[lm_id] = Landmark(id=lm_id, position=position)
+    keep = new | (mapped & np.isin(ids, matched_ids))
+    map_state.add_observations(kf.id, ids[keep], meas[keep])
+    kf.reference_inliers = int(np.count_nonzero(keep))
 
     if kf.id == 0 and frame.frame_normal is not None:
         map_state.world_normal = pose.R.T @ frame.frame_normal
@@ -536,39 +520,19 @@ def insert_keyframe(
         "keyframe %d (frame %d): %d observations, %d new landmarks",
         kf.id,
         frame.frame_id,
-        len(kf.observation_ids),
-        new_landmarks,
+        kf.reference_inliers,
+        np.count_nonzero(new),
     )
     return kf
 
 
-def reject_outliers(
-    map_state: MapState, config: SolverConfig, obs_ids=None
-) -> int:
-    """Drop observations whose whitened squared residual norm exceeds the
-    chi-square threshold (infinite behind the camera); landmarks left
-    unobserved are deleted."""
-    if obs_ids is None:
-        obs_ids = list(map_state.observations)
-    ids = sorted(i for i in obs_ids if i in map_state.observations)
-    obs = [map_state.observations[i] for i in ids]
-    kf_row = {k: i for i, k in enumerate({o.frame_id for o in obs})}
-    R, t = _pose_stack(map_state.keyframes[k].pose for k in kf_row)
-    points = [map_state.landmarks[o.landmark_id].position for o in obs]
-    sq = _evaluate(
-        map_state.intrinsics,
-        config,
-        R,
-        t,
-        np.array(points).reshape(-1, 3),
-        np.array([kf_row[o.frame_id] for o in obs], dtype=int),
-        np.arange(len(obs)),
-        np.array([o.uvu for o in obs]).reshape(-1, 3),
-    ).sq
-    doomed = [i for i, d2 in zip(ids, sq) if d2 > config.chi2_threshold]
-    for obs_id in doomed:
-        map_state.remove_observation(obs_id)
-    return len(doomed)
+def reject_outliers(map_state: MapState, config: SolverConfig, obs_ids, sq) -> int:
+    """Drop the observations ``obs_ids`` whose whitened squared residual norms
+    ``sq`` exceed the chi-square threshold (infinite behind the camera);
+    landmarks left unobserved are deleted."""
+    doomed = np.asarray(obs_ids)[np.asarray(sq) > config.chi2_threshold]
+    map_state.remove_observations(doomed)
+    return int(doomed.size)
 
 
 def map_cost(map_state: MapState, config: SolverConfig) -> float:
@@ -604,34 +568,22 @@ class _BAProblem:
         self.config = config
         self.window_ids = window_ids
         kfs = map_state.keyframes
+        obs_kf, obs_lm = map_state.obs_kf, map_state.obs_lm
 
-        lm_ids = set()
-        for kf_id in window_ids:
-            for obs_id in kfs[kf_id].observation_ids:
-                lm_ids.add(map_state.observations[obs_id].landmark_id)
-        self.lm_ids = sorted(lm_ids)
+        # every live observation of a landmark the window sees, grouped by
+        # landmark with keyframes ascending
+        self.lm_ids = np.unique(obs_lm[np.isin(obs_kf, np.asarray(window_ids))])
+        rows = np.flatnonzero(np.isin(obs_lm, self.lm_ids) & (obs_kf >= 0))
+        self.obs_ids = rows[np.lexsort((obs_kf[rows], obs_lm[rows]))]
+        self.obs_uvu = map_state.obs_uvu[self.obs_ids]
+        self.obs_lm = np.searchsorted(self.lm_ids, obs_lm[self.obs_ids])
 
-        participating = set(window_ids)
-        for lm in self.lm_ids:
-            participating.update(map_state.landmarks[lm].observations)
         self.free_ids = sorted(
             k for k in window_ids if not kfs[k].fixed
         )
         free_index = {k: i for i, k in enumerate(self.free_ids)}
-        self.all_kf_ids = sorted(participating)
-        kf_row = {k: i for i, k in enumerate(self.all_kf_ids)}
-
-        # one row per observation: pose row, landmark index, observation id
-        obs_rows = [
-            (kf_row[kf_id], i, obs_id)
-            for i, lm in enumerate(self.lm_ids)
-            for kf_id, obs_id in sorted(map_state.landmarks[lm].observations.items())
-        ]
-        rows = np.array(obs_rows, dtype=int).reshape(-1, 3)
-        self.obs_pose, self.obs_lm, self.obs_ids = rows.T
-        self.obs_uvu = np.array(
-            [map_state.observations[i].uvu for i in self.obs_ids]
-        ).reshape(-1, 3)
+        self.all_kf_ids = np.union1d(window_ids, obs_kf[self.obs_ids]).tolist()
+        self.obs_pose = np.searchsorted(self.all_kf_ids, obs_kf[self.obs_ids])
         # free-pose index of each pose row, -1 for poses held fixed
         free_of_row = np.array([free_index.get(k, -1) for k in self.all_kf_ids])
         self.obs_free = free_of_row[self.obs_pose]
@@ -649,7 +601,7 @@ class _BAProblem:
         # state
         self.poses = {k: kfs[k].pose for k in self.all_kf_ids}
         self.points = np.array(
-            [map_state.landmarks[lm].position for lm in self.lm_ids]
+            [map_state.landmarks[lm].position for lm in self.lm_ids.tolist()]
         ).reshape(-1, 3)
         self.n_w = (
             None if map_state.world_normal is None else map_state.world_normal.copy()
@@ -660,7 +612,7 @@ class _BAProblem:
         normal_kfs = [kfs[k] for k in sorted(window_ids) if kfs[k].basis is not None]
         if normal_kfs and config.loss.normal_weight > 0.0 and self.n_w is not None:
             self.normals = (
-                np.array([kf_row[kf.id] for kf in normal_kfs]),
+                np.searchsorted(self.all_kf_ids, [kf.id for kf in normal_kfs]),
                 np.array([kf.basis for kf in normal_kfs]),
                 np.array([kf.normal for kf in normal_kfs]),
             )
@@ -686,7 +638,7 @@ class _BAProblem:
     def write_back(self):
         for k in self.free_ids:
             self.map.keyframes[k].pose = self.poses[k]
-        for lm, pos in zip(self.lm_ids, self.points):
+        for lm, pos in zip(self.lm_ids.tolist(), self.points):
             if lm in self.map.landmarks:
                 self.map.landmarks[lm].position = pos.copy()
         if self.nw_active and self.n_w is not None:
@@ -821,9 +773,8 @@ def local_bundle_adjustment(
         current_kf_id, config.covisibility_min_shared
     )
     cap = config.covisibility_max_window
-    if cap and len(neighbors) + 1 > cap:
-        shared = map_state.covisibility[current_kf_id]
-        neighbors = sorted(neighbors, key=lambda k: (-shared[k], k))[: cap - 1]
+    if cap:
+        neighbors = neighbors[: cap - 1]
     window = {current_kf_id} | set(neighbors)
     problem = _BAProblem(map_state, sorted(window), config)
     lam = config.initial_damping
@@ -835,9 +786,8 @@ def local_bundle_adjustment(
     def run_rejection() -> int:
         nonlocal problem, removed_total
         problem.write_back()
-        removed = reject_outliers(
-            map_state, config, obs_ids=problem.obs_ids.tolist()
-        )
+        # ev is the evaluation at exactly the state write_back stored
+        removed = reject_outliers(map_state, config, problem.obs_ids, problem.ev.sq)
         removed_total += removed
         logger.debug(
             "ba[%d]: rejection removed %d observations", current_kf_id, removed
@@ -989,8 +939,8 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     timestamp=frame.timestamp,
                     keyframe_id=kf.id,
                     tracked_pose=pose,
-                    matched=len(kf.observation_ids),
-                    inliers=len(kf.observation_ids),
+                    matched=kf.reference_inliers,
+                    inliers=kf.reference_inliers,
                 )
             )
             prev_pose = pose

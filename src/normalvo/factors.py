@@ -43,30 +43,6 @@ class RobustLossConfig:
             raise ValueError("normal_weight must be non-negative")
 
 
-@dataclass(frozen=True)
-class StereoObservation:
-    """One stereo feature measurement tied to a frame and a landmark."""
-
-    frame_id: int
-    landmark_id: int
-    uL: float
-    v: float
-    uR: float
-
-    def __post_init__(self):
-        if not self.uL > self.uR:
-            raise ValueError(
-                f"stereo observation needs uL > uR, got {self.uL} <= {self.uR}"
-            )
-        # cache the packed measurement; profiling showed per-access allocation
-        # dominating problem setup on large windows
-        object.__setattr__(self, "_uvu", np.array([self.uL, self.v, self.uR]))
-
-    @property
-    def uvu(self) -> np.ndarray:
-        return self._uvu
-
-
 def huber(r, delta: float):
     """Huber cost and IRLS weight for scalar (or array) residual norms.
 

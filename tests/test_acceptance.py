@@ -369,7 +369,7 @@ def _corrupted_two_view(n_landmarks=600, outlier_fraction=0.05, seed=61):
     total = 2 * n_landmarks
     n_dirty = int(round(outlier_fraction * total))
     corrupt = set(rng.choice(total, size=n_dirty, replace=False).tolist())
-    dirty, clean = set(), set()
+    meas = np.zeros((len(poses), n_landmarks, 3))
     flat = 0
     for i, p in enumerate(points):
         ms.landmarks[i] = Landmark(id=i, position=p.copy())
@@ -381,14 +381,15 @@ def _corrupted_two_view(n_landmarks=600, outlier_fraction=0.05, seed=61):
                     candidate = uvu + 50.0 * direction
                     if candidate[0] - candidate[2] > config.min_disparity:
                         break
-                obs_id = ms.add_observation(kf_id, i, candidate)
-                dirty.add(obs_id)
-            else:
-                obs_id = ms.add_observation(kf_id, i, uvu)
-                clean.add(obs_id)
+                uvu = candidate
+            meas[kf_id, i] = uvu
             flat += 1
+    dirty, clean = set(), set()
     for kf in ms.keyframes:
-        kf.reference_inliers = len(kf.observation_ids)
+        obs_ids = ms.add_observations(kf.id, np.arange(n_landmarks), meas[kf.id])
+        kf.reference_inliers = n_landmarks
+        for i, obs_id in enumerate(obs_ids.tolist()):
+            (dirty if len(poses) * i + kf.id in corrupt else clean).add(obs_id)
     return ms, dirty, clean
 
 
@@ -399,7 +400,8 @@ def test_criterion_6_outlier_rejection(capsys):
 
     local_bundle_adjustment(ms, 1, config)
 
-    removed = {obs_id for obs_id in dirty | clean if obs_id not in ms.observations}
+    live = set(ms.observations.tolist())
+    removed = {obs_id for obs_id in dirty | clean if obs_id not in live}
     dirty_removed = len(removed & dirty)
     clean_removed = len(removed & clean)
     dirty_frac = dirty_removed / len(dirty)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from normalvo import estimator
 from normalvo.estimator import (
     FrameData,
     Keyframe,
@@ -111,16 +112,63 @@ def two_keyframe_map(config, *, n=40, seed=3, with_normal=False, pixel_noise=0.0
         )
     if n_w is not None:
         ms.world_normal = n_w.copy()
+    meas = np.zeros((2, n, 3))
     for i, p in enumerate(points):
         ms.landmarks[i] = Landmark(id=i, position=p.copy())
         for kf_id, pose in enumerate([pose0, pose1]):
-            uvu = project(K, pose.R @ p + pose.t)
+            meas[kf_id, i] = project(K, pose.R @ p + pose.t)
             if pixel_noise:
-                uvu = uvu + rng.normal(0.0, pixel_noise, 3)
-            ms.add_observation(kf_id, i, uvu)
+                meas[kf_id, i] += rng.normal(0.0, pixel_noise, 3)
     for kf in ms.keyframes:
-        kf.reference_inliers = len(kf.observation_ids)
+        ms.add_observations(kf.id, np.arange(n), meas[kf.id])
+        kf.reference_inliers = n
     return ms, points, [pose0, pose1]
+
+
+def obs_row(ms, kf_id, lm_id):
+    """Id of the live observation of landmark ``lm_id`` from ``kf_id``."""
+    (row,) = np.flatnonzero((ms.obs_kf == kf_id) & (ms.obs_lm == lm_id))
+    return int(row)
+
+
+def observers(ms, lm_id):
+    """Keyframes holding a live observation of landmark ``lm_id``."""
+    return set(ms.obs_kf[(ms.obs_lm == lm_id) & (ms.obs_kf >= 0)].tolist())
+
+
+def brute_force_covisibility(ms):
+    """Shared-landmark counts recounted pair by pair from the live rows:
+    {keyframe: {other keyframe: count}}, zero counts left out."""
+    kfs_of = {}
+    for row in range(ms.obs_kf.size):
+        if ms.obs_kf[row] >= 0:
+            kfs_of.setdefault(int(ms.obs_lm[row]), []).append(int(ms.obs_kf[row]))
+    counts = {}
+    for kfs in kfs_of.values():
+        for a in kfs:
+            for b in kfs:
+                if a != b:
+                    counts.setdefault(a, {}).setdefault(b, 0)
+                    counts[a][b] += 1
+    return counts
+
+
+def assert_map_consistent(ms, min_shared=1):
+    """covisibility and covisible_keyframes agree with the brute-force
+    recount, and a landmark is mapped iff it has a live observation."""
+    fresh = brute_force_covisibility(ms)
+    for k in range(len(ms.keyframes)):
+        edges = fresh.get(k, {})
+        expected = np.zeros(len(ms.keyframes), dtype=int)
+        for j, c in edges.items():
+            expected[j] = c
+        np.testing.assert_array_equal(ms.covisibility(k), expected)
+        assert ms.covisible_keyframes(k, min_shared) == sorted(
+            (j for j, c in edges.items() if c >= min_shared),
+            key=lambda j: (-edges[j], j),
+        )
+    live = set(ms.obs_lm[ms.obs_kf >= 0].tolist())
+    assert set(ms.landmarks) == live
 
 
 # --- motion model ------------------------------------------------------------
@@ -308,8 +356,7 @@ def test_cull_retires_persistently_rejected_landmarks():
     ms.keyframes.append(
         Keyframe(id=0, frame_id=0, timestamp=0.0, pose=PoseSE3.identity())
     )
-    for i, p in enumerate(points):
-        ms.add_observation(0, i, project(K, p))
+    ms.add_observations(0, np.arange(3), project(K, points))
 
     reject = TrackResult(
         pose=PoseSE3.identity(),
@@ -337,8 +384,8 @@ def test_cull_retires_persistently_rejected_landmarks():
         assert cull_landmarks(ms, reject, config) == 0
     assert cull_landmarks(ms, reject, config) == 1
     assert 2 not in ms.landmarks
-    assert all(o.landmark_id != 2 for o in ms.observations.values())
-    assert ms.covisibility_consistent()
+    assert 2 not in ms.obs_lm[ms.observations]
+    assert_map_consistent(ms)
 
 
 # --- keyframe policy and insertion ---------------------------------------------
@@ -392,10 +439,10 @@ def test_insert_second_keyframe_links_covisibility():
         ms, frame_at(pose1, points, frame_id=5), pose1, np.arange(25), config
     )
     assert not kf1.fixed
-    assert ms.covisibility[0][1] == 25
-    assert ms.covisibility[1][0] == 25
+    assert ms.covisibility(0)[1] == 25
+    assert ms.covisibility(1)[0] == 25
     assert len(ms.landmarks) == 25  # nothing new triangulated
-    assert ms.covisibility_consistent()
+    assert_map_consistent(ms)
     assert ms.normal_init_remaining == config.normal_init_window - 2
 
 
@@ -431,19 +478,26 @@ def test_remove_observation_updates_covisibility_and_orphans():
         )
     for i in range(2):
         ms.landmarks[i] = Landmark(id=i, position=np.array([0.0, 0.0, 5.0 + i]))
-        for k in range(2):
-            ms.add_observation(k, i, np.array([330.0, 240.0, 310.0]))
-    assert ms.covisibility[0][1] == 2
+    uvu = np.array([[330.0, 240.0, 310.0]] * 2)
+    for k in range(2):
+        ms.add_observations(k, [0, 1], uvu)
+    assert ms.covisibility(0)[1] == 2
+    with pytest.raises(ValueError):
+        ms.add_observations(1, [1], uvu[:1])  # the pair is already stored
+    with pytest.raises(ValueError):
+        ms.add_observations(0, [7, 7], uvu)  # twice within one batch
+    with pytest.raises(KeyError):
+        ms.add_observations(0, [7], uvu[:1])  # no such landmark
 
-    ms.remove_observation(ms.landmarks[1].observations[0])
-    assert ms.covisibility[0][1] == 1
+    ms.remove_observations([obs_row(ms, 0, 1)])
+    assert ms.covisibility(0)[1] == 1
     assert ms.covisible_keyframes(0, 1) == [1]
     assert ms.covisible_keyframes(1, 2) == []
 
     # dropping the last observation deletes the landmark itself
-    ms.remove_observation(ms.landmarks[1].observations[1])
+    ms.remove_observations([obs_row(ms, 1, 1)])
     assert 1 not in ms.landmarks
-    assert ms.covisibility_consistent()
+    assert_map_consistent(ms)
 
 
 def test_chi_square_boundary_classification():
@@ -454,21 +508,19 @@ def test_chi_square_boundary_classification():
     ms.keyframes.append(
         Keyframe(id=0, frame_id=0, timestamp=0.0, pose=PoseSE3.identity(), fixed=True)
     )
-    for i, p in enumerate(points):
-        uvu = project(K, p).copy()
-        if i == 0:
-            uvu[0] += math.sqrt(7.814)  # squared norm lands just below the gate
-        elif i == 1:
-            uvu[0] += math.sqrt(7.816)  # and this one just above
-        ms.add_observation(0, i, uvu)
+    uvu = project(K, points)
+    uvu[0, 0] += math.sqrt(7.814)  # squared norm lands just below the gate
+    uvu[1, 0] += math.sqrt(7.816)  # and this one just above
+    ms.add_observations(0, np.arange(10), uvu)
+    problem = _BAProblem(ms, [0], config)
 
-    removed = reject_outliers(ms, config)
+    removed = reject_outliers(ms, config, problem.obs_ids, problem.ev.sq)
 
     assert removed == 1
     assert 1 not in ms.landmarks
     assert 0 in ms.landmarks
     assert len(ms.landmarks) == 9
-    assert ms.covisibility_consistent()
+    assert_map_consistent(ms)
 
 
 # --- bundle adjustment ----------------------------------------------------------
@@ -534,10 +586,7 @@ def test_ba_rejection_removes_labeled_outliers_only():
     config = SolverConfig()
     ms, _, poses = two_keyframe_map(config, n=60, seed=15)
     for lm_id in range(6):
-        obs_id = ms.landmarks[lm_id].observations[1]
-        dirty = ms.observations[obs_id].uvu + np.array([50.0, -30.0, 50.0])
-        ms.remove_observation(obs_id)
-        ms.add_observation(1, lm_id, dirty)
+        ms.obs_uvu[obs_row(ms, 1, lm_id)] += np.array([50.0, -30.0, 50.0])
     assert len(ms.observations) == 120
 
     report = local_bundle_adjustment(ms, 1, config)
@@ -545,21 +594,18 @@ def test_ba_rejection_removes_labeled_outliers_only():
     assert report.removed_observations == 6
     assert len(ms.observations) == 114
     for lm_id in range(6):
-        assert set(ms.landmarks[lm_id].observations) == {0}
+        assert observers(ms, lm_id) == {0}
     for lm_id in range(6, 60):
-        assert set(ms.landmarks[lm_id].observations) == {0, 1}
+        assert observers(ms, lm_id) == {0, 1}
     np.testing.assert_allclose(ms.keyframes[1].pose.t, poses[1].t, rtol=0, atol=1e-6)
-    assert ms.covisibility_consistent()
+    assert_map_consistent(ms)
 
 
 def test_ba_accepted_costs_never_increase(caplog):
     config = SolverConfig()
     ms, _, _ = two_keyframe_map(config, n=50, seed=16, pixel_noise=0.5)
     for lm_id in range(4):
-        obs_id = ms.landmarks[lm_id].observations[1]
-        dirty = ms.observations[obs_id].uvu + np.array([30.0, 20.0, 30.0])
-        ms.remove_observation(obs_id)
-        ms.add_observation(1, lm_id, dirty)
+        ms.obs_uvu[obs_row(ms, 1, lm_id)] += np.array([30.0, 20.0, 30.0])
 
     with caplog.at_level(logging.DEBUG, logger="normalvo.estimator"):
         report = local_bundle_adjustment(ms, 1, config)
@@ -584,11 +630,11 @@ def reference_map_cost(map_state, config):
     total = 0.0
     for kf_id in kf_ids:
         kf = map_state.keyframes[kf_id]
-        for obs_id in sorted(kf.observation_ids):
-            obs = map_state.observations[obs_id]
-            lm = map_state.landmarks[obs.landmark_id]
+        for obs_id in np.flatnonzero(map_state.obs_kf == kf_id):
+            lm = map_state.landmarks[int(map_state.obs_lm[obs_id])]
             r = (
-                project(K, transform_point(kf.pose, lm.position)) - obs.uvu
+                project(K, transform_point(kf.pose, lm.position))
+                - map_state.obs_uvu[obs_id]
             ) * inv_sigma
             total += float(huber(np.linalg.norm(r), config.loss.huber_delta_repro)[0])
         if (
@@ -613,10 +659,7 @@ def test_ba_vectorized_cost_matches_reference_loop():
         config, n=30, seed=17, with_normal=True, pixel_noise=0.7
     )
     for lm_id in range(3):  # gross errors reach Huber's linear branch
-        obs_id = ms.landmarks[lm_id].observations[1]
-        dirty = ms.observations[obs_id].uvu + np.array([30.0, -20.0, 30.0])
-        ms.remove_observation(obs_id)
-        ms.add_observation(1, lm_id, dirty)
+        ms.obs_uvu[obs_row(ms, 1, lm_id)] += np.array([30.0, -20.0, 30.0])
     reference = reference_map_cost(ms, config)
 
     problem = _BAProblem(ms, [0, 1], config)
@@ -651,7 +694,7 @@ def test_ba_vectorized_cost_matches_reference_loop():
     )
     for i in ids:
         solo.landmarks[int(i)] = Landmark(id=int(i), position=points[i])
-        solo.add_observation(0, int(i), meas[i])
+    solo.add_observations(0, ids, meas)
     assert result.cost == pytest.approx(reference_map_cost(solo, config), rel=1e-12)
 
 
@@ -661,8 +704,7 @@ def test_map_cost_of_a_map_without_observations_is_its_normal_terms():
     ms.keyframes[1].pose = se3_exp(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0])).compose(
         poses[1]
     )
-    for obs_id in list(ms.observations):
-        ms.remove_observation(obs_id)
+    ms.remove_observations(ms.observations)
     assert not ms.landmarks
 
     cost = map_cost(ms, config)
@@ -679,21 +721,21 @@ def behind_camera_map(config):
     p = np.array([10.0, 0.0, 0.2])
     assert p[2] > 0.0 > (poses[1].R @ p + poses[1].t)[2]
     ms.landmarks[0].position = p
-    ms.remove_observation(ms.landmarks[0].observations[0])
-    ms.add_observation(0, 0, project(K, p))
-    return ms, ms.landmarks[0].observations[1]
+    ms.obs_uvu[obs_row(ms, 0, 0)] = project(K, p)
+    return ms, obs_row(ms, 1, 0)
 
 
 def test_reject_outliers_removes_observation_behind_camera():
     config = SolverConfig()
     ms, behind = behind_camera_map(config)
+    problem = _BAProblem(ms, [0, 1], config)
 
-    removed = reject_outliers(ms, config)
+    removed = reject_outliers(ms, config, problem.obs_ids, problem.ev.sq)
 
     assert removed == 1
     assert behind not in ms.observations
-    assert set(ms.landmarks[0].observations) == {0}
-    assert ms.covisibility_consistent()
+    assert observers(ms, 0) == {0}
+    assert_map_consistent(ms)
 
 
 def test_ba_first_rejection_pass_clears_behind_camera_observation():
@@ -708,8 +750,8 @@ def test_ba_first_rejection_pass_clears_behind_camera_observation():
     assert math.isfinite(report.cost_initial)
     assert report.cost_final <= report.cost_initial
     assert behind not in ms.observations
-    assert set(ms.landmarks[0].observations) == {0}
-    assert ms.covisibility_consistent()
+    assert observers(ms, 0) == {0}
+    assert_map_consistent(ms)
 
 
 def test_ba_world_normal_frozen_after_init_window():
@@ -879,6 +921,52 @@ def test_run_sequence_reports_first_frame_of_lost_streak(clean_seq):
     with pytest.raises(TrackingLost, match="no recovery") as exc:
         run_sequence(frames, clean_seq.intrinsics, SolverConfig())
     assert exc.value.frame_id == 20
+
+
+def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):
+    # a noisy strip whose run inserts keyframes, culls landmarks in tracking
+    # and rejects observations in bundle adjustment
+    seq = generate_sequence(small_scene(pixel_noise=1.0))
+    config = SolverConfig()
+    removed = {"culled": 0, "rejected": 0}
+
+    def counting(fn, key):
+        def wrapped(*args, **kwargs):
+            n = fn(*args, **kwargs)
+            removed[key] += n
+            return n
+
+        return wrapped
+
+    monkeypatch.setattr(estimator, "cull_landmarks", counting(cull_landmarks, "culled"))
+    monkeypatch.setattr(
+        estimator, "reject_outliers", counting(reject_outliers, "rejected")
+    )
+    ms = run_sequence(seq.frames, seq.intrinsics, config).map_state
+
+    assert removed["culled"] > 0 and removed["rejected"] > 0
+    assert len(ms.keyframes) > 2
+    assert np.count_nonzero(ms.obs_kf < 0) > 0
+    assert_map_consistent(ms)
+    assert_map_consistent(ms, config.covisibility_min_shared)
+
+
+def test_far_landmark_measured_without_disparity_is_kept():
+    # a landmark triangulated at 1 px disparity, later tracked as an inlier
+    # with uL <= uR, becomes an ordinary observation of the new keyframe
+    rng = np.random.default_rng(41)
+    points = np.vstack([scatter_points(rng, 60), [[0.5, 0.2, 100.0]]])
+    poses = [se3_exp(np.array([0.05 * k, 0.0, 0.0, 0.0, 0.0, 0.0])) for k in range(3)]
+    frames = [frame_at(pose, points, frame_id=k) for k, pose in enumerate(poses)]
+    frames[2].measurements[60, 2] = frames[2].measurements[60, 0] + 0.3
+    config = SolverConfig(keyframe_gap=1)
+
+    result = run_sequence(frames, K, config)
+
+    assert len(result.trajectory) == 3
+    assert result.records[2].keyframe_id == 2
+    row = obs_row(result.map_state, 2, 60)
+    assert result.map_state.obs_uvu[row, 0] < result.map_state.obs_uvu[row, 2]
 
 
 def test_normal_constraint_cuts_tilt_drift_on_degenerate_scene():

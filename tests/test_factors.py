@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from normalvo.factors import (
-    StereoObservation,
     huber,
     make_tangent_basis,
     normal_jacobian,
@@ -327,16 +326,3 @@ def test_normal_jacobian_nw_rank_two_at_alignment():
     assert s[1] > 1e-9  # two useful directions
     # radial direction of n_w is in the null space
     np.testing.assert_allclose(J_nw @ np.array([0.0, 0.0, -1.5]), 0.0, atol=1e-12)
-
-
-# --- observation record ----------------------------------------------------
-
-
-def test_observation_requires_positive_disparity():
-    with pytest.raises(ValueError):
-        StereoObservation(0, 0, uL=100.0, v=50.0, uR=100.0)
-
-
-def test_observation_uvu_vector():
-    obs = StereoObservation(3, 9, uL=120.0, v=80.0, uR=110.0)
-    assert np.array_equal(obs.uvu, [120.0, 80.0, 110.0])
