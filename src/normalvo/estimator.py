@@ -32,11 +32,11 @@ from .factors import (
 from .geometry import (
     Intrinsics,
     PoseSE3,
-    apply_update,
     nearest_rotation,
     project,
     transform_point,
     triangulate,
+    update_poses,
 )
 
 logger = logging.getLogger(__name__)
@@ -171,8 +171,10 @@ class MapState:
 
     Observations are three parallel arrays: keyframe id ``obs_kf``, landmark
     id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
-    row; removal sets its ``obs_kf`` to -1, so ids stay valid. Covisibility
-    is counted from these arrays when asked for.
+    row; removal sets its ``obs_kf`` to -1. Once such dead rows outnumber
+    the live ones, the removal drops them, keeping the live rows in order,
+    so an id is only valid until the next removal. Covisibility is counted
+    from these arrays when asked for.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
@@ -216,13 +218,19 @@ class MapState:
         return np.arange(start, self.obs_kf.size)
 
     def remove_observations(self, obs_ids):
-        """Drop observations by id and delete the landmarks left unobserved."""
+        """Drop observations by id and delete the landmarks left unobserved;
+        compacts the arrays once dead rows outnumber live ones."""
         obs_ids = np.asarray(obs_ids, dtype=int)
         self.obs_kf[obs_ids] = -1
+        live = self.obs_kf >= 0
         touched = np.unique(self.obs_lm[obs_ids])
         if touched.size:
-            for lm_id in touched[~np.isin(touched, self.obs_lm[self.obs_kf >= 0])]:
+            for lm_id in touched[~np.isin(touched, self.obs_lm[live])]:
                 del self.landmarks[int(lm_id)]
+        if 2 * np.count_nonzero(live) < live.size:
+            self.obs_kf = self.obs_kf[live]
+            self.obs_lm = self.obs_lm[live]
+            self.obs_uvu = self.obs_uvu[live]
 
     def covisibility(self, kf_id: int) -> np.ndarray:
         """Landmarks each keyframe shares with ``kf_id``, indexed by keyframe
@@ -276,13 +284,6 @@ class _Evaluation:
     rn: np.ndarray  # (N, 2) weighted normal residuals
     wn: np.ndarray  # (N,) IRLS weights of the normal rows
     cost: float  # Huber total, inf when any point is behind its camera
-
-
-def _pose_stack(poses):
-    """Rotations (P, 3, 3) and translations (P, 3) of a sequence of poses."""
-    poses = list(poses)
-    R = np.array([p.R for p in poses]).reshape(-1, 3, 3)
-    return R, np.array([p.t for p in poses]).reshape(-1, 3)
 
 
 def _evaluate(
@@ -355,20 +356,23 @@ def track_frame(
         normals = (rows[:1], basis[None], frame.frame_normal[None])
     terms = (points, rows, np.arange(rows.size), frame.measurements[mask], normals, n_w)
 
-    pose = constant_velocity_init(prev_pose, prev_prev_pose)
-    ev = _evaluate(K, config, pose.R[None], pose.t[None], *terms)
+    # the pose is held as a one-row stack (1, 3, 3), (1, 3) while it is solved
+    init = constant_velocity_init(prev_pose, prev_prev_pose)
+    R, t = init.R[None], init.t[None]
+    ev = _evaluate(K, config, R, t, *terms)
     if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
 
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        Jp, _ = reprojection_jacobians(K, pose, points, pc=ev.pc)
-        Jp = Jp / config.sigma_px
-        H = np.einsum("n,nab,nac->bc", ev.w, Jp, Jp)
-        g = np.einsum("n,nab,na->b", ev.w, Jp, ev.r)
+        Jp, _ = reprojection_jacobians(K, (R[0], t[0]), points, pc=ev.pc)
+        Jp = Jp.reshape(-1, 6) / config.sigma_px
+        wJp = np.repeat(ev.w, 3)[:, None] * Jp
+        H = Jp.T @ wJp
+        g = wJp.T @ ev.r.ravel()
         if normals is not None:
             J_phi = math.sqrt(config.loss.normal_weight) * normal_jacobian(
-                basis, pose.R, n_w
+                basis, R[0], n_w
             )[0]
             H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
             g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
@@ -388,11 +392,11 @@ def track_frame(
             if np.linalg.norm(step) < config.step_tolerance:
                 converged = True
                 break
-            candidate = apply_update(step, pose)
-            new_ev = _evaluate(K, config, candidate.R[None], candidate.t[None], *terms)
+            new_R, new_t = update_poses(step[None], R, t)
+            new_ev = _evaluate(K, config, new_R, new_t, *terms)
             if new_ev.cost < ev.cost:
                 rel = (ev.cost - new_ev.cost) / max(ev.cost, 1e-300)
-                pose, ev = candidate, new_ev
+                R, t, ev = new_R, new_t, new_ev
                 lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
                 accepted = True
                 converged = rel < config.cost_tolerance
@@ -421,7 +425,7 @@ def track_frame(
         ev.cost,
     )
     return TrackResult(
-        pose=pose,
+        pose=PoseSE3(R[0], t[0]),
         inlier_ids=matched_ids[inlier_mask],
         outlier_ids=matched_ids[~inlier_mask],
         matched=int(matched_ids.size),
@@ -558,8 +562,11 @@ class _BAProblem:
     """Linearization workspace for one local bundle adjustment call.
 
     Holds the window structure (free poses, landmark order, observation
-    index arrays), the current state (poses, landmark positions, world
-    normal) and the objective evaluated there. Rebuilt from the map after a
+    index arrays), the current state and the objective evaluated there.
+    The state is held as arrays: world-to-camera rotations ``R`` (P, 3, 3)
+    and translations ``t`` (P, 3) with one row per keyframe of
+    ``all_kf_ids``, landmark positions and the world normal; poses become
+    PoseSE3 again only in ``write_back``. Rebuilt from the map after a
     mid-run outlier rejection.
     """
 
@@ -581,11 +588,13 @@ class _BAProblem:
         self.free_ids = sorted(
             k for k in window_ids if not kfs[k].fixed
         )
-        free_index = {k: i for i, k in enumerate(self.free_ids)}
         self.all_kf_ids = np.union1d(window_ids, obs_kf[self.obs_ids]).tolist()
         self.obs_pose = np.searchsorted(self.all_kf_ids, obs_kf[self.obs_ids])
-        # free-pose index of each pose row, -1 for poses held fixed
-        free_of_row = np.array([free_index.get(k, -1) for k in self.all_kf_ids])
+        # pose row of each free pose, and free-pose index of each pose row
+        # (-1 for poses held fixed)
+        self.free_rows = np.searchsorted(self.all_kf_ids, self.free_ids)
+        free_of_row = np.full(len(self.all_kf_ids), -1)
+        free_of_row[self.free_rows] = np.arange(self.free_rows.size)
         self.obs_free = free_of_row[self.obs_pose]
         # rows are grouped by landmark already; cache segment-sum boundaries
         # (indices are >= 0, so prepending -1 starts the first segment)
@@ -599,7 +608,8 @@ class _BAProblem:
         self._free_segment = sorted_free[self._free_starts]
 
         # state
-        self.poses = {k: kfs[k].pose for k in self.all_kf_ids}
+        self.R = np.array([kfs[k].pose.R for k in self.all_kf_ids]).reshape(-1, 3, 3)
+        self.t = np.array([kfs[k].pose.t for k in self.all_kf_ids]).reshape(-1, 3)
         self.points = np.array(
             [map_state.landmarks[lm].position for lm in self.lm_ids.tolist()]
         ).reshape(-1, 3)
@@ -618,10 +628,9 @@ class _BAProblem:
             )
             self.normal_free = free_of_row[self.normals[0]]
         self.nw_active = self.normals is not None and map_state.normal_active
-        self.ev = self.evaluate(self.poses, self.points, self.n_w)
+        self.ev = self.evaluate(self.R, self.t, self.points, self.n_w)
 
-    def evaluate(self, poses, points, n_w) -> _Evaluation:
-        R, t = _pose_stack(poses[k] for k in self.all_kf_ids)
+    def evaluate(self, R, t, points, n_w) -> _Evaluation:
         return _evaluate(
             self.map.intrinsics,
             self.config,
@@ -636,8 +645,8 @@ class _BAProblem:
         )
 
     def write_back(self):
-        for k in self.free_ids:
-            self.map.keyframes[k].pose = self.poses[k]
+        for k, row in zip(self.free_ids, self.free_rows.tolist()):
+            self.map.keyframes[k].pose = PoseSE3(self.R[row], self.t[row])
         for lm, pos in zip(self.lm_ids.tolist(), self.points):
             if lm in self.map.landmarks:
                 self.map.landmarks[lm].position = pos.copy()
@@ -651,7 +660,7 @@ def _ba_linearize(problem: _BAProblem):
     weighted like ``problem.ev.rn``."""
     cfg = problem.config
     inv_sigma = 1.0 / cfg.sigma_px
-    R, t = _pose_stack(problem.poses[k] for k in problem.all_kf_ids)
+    R, t = problem.R, problem.t
     rows = problem.obs_pose
     Jp, Jl = reprojection_jacobians(
         problem.map.intrinsics,
@@ -670,7 +679,12 @@ def _ba_linearize(problem: _BAProblem):
 
 
 def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
-    """Accumulate the Schur-ready normal-equation blocks."""
+    """Accumulate the Schur-ready normal-equation blocks.
+
+    Per-row block products ``J^T (w J)`` are matmuls over swapped axes,
+    several times faster than a batched einsum at window sizes; products
+    with vectors stay einsums, which are faster there.
+    """
     ev = problem.ev
     P = len(problem.free_ids)
     L = len(problem.lm_ids)
@@ -679,11 +693,12 @@ def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
     gp = np.zeros((P, 6))
     Hll = np.zeros((L + extra, 3, 3))
     gl = np.zeros((L + extra, 3))
-    W = np.zeros((6 * P, 3 * (L + extra)))
+    # W[p, :, l, :] is the 6x3 block of free pose p and landmark l
+    W = np.zeros((P, 6, L + extra, 3))
 
     wJl = ev.w[:, None, None] * Jl_all
     Hll[problem._lm_segment] = np.add.reduceat(
-        np.einsum("nab,nac->nbc", Jl_all, wJl), problem._lm_starts, axis=0
+        np.swapaxes(wJl, 1, 2) @ Jl_all, problem._lm_starts, axis=0
     )
     gl[problem._lm_segment] = np.add.reduceat(
         np.einsum("nab,na->nb", wJl, ev.r), problem._lm_starts, axis=0
@@ -691,39 +706,33 @@ def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
 
     free = problem._free_rows
     if free.size:
-        p_idx = problem.obs_free[free]
-        Jp = Jp_all[free]
-        wJp = ev.w[free, None, None] * Jp
+        wJpT = np.swapaxes(ev.w[free, None, None] * Jp_all[free], 1, 2)
         Hpp[problem._free_segment] = np.add.reduceat(
-            np.einsum("nab,nac->nbc", Jp, wJp), problem._free_starts, axis=0
+            wJpT @ Jp_all[free], problem._free_starts, axis=0
         )
         gp[problem._free_segment] = np.add.reduceat(
-            np.einsum("nab,na->nb", wJp, ev.r[free]), problem._free_starts, axis=0
+            np.einsum("nba,na->nb", wJpT, ev.r[free]), problem._free_starts, axis=0
         )
-        blocks = np.einsum("nab,nac->nbc", wJp, Jl_all[free])
-        rows = 6 * p_idx[:, None, None] + np.arange(6)[None, :, None]
-        cols = 3 * problem.obs_lm[free][:, None, None] + np.arange(3)[None, None, :]
-        W[rows, cols] = blocks
+        # each (pose, landmark) pair is observed once, so no block repeats
+        W[problem.obs_free[free], :, problem.obs_lm[free], :] = wJpT @ Jl_all[free]
 
     if J_phi is not None:
         # one normal row per keyframe, so the free-pose indices are distinct
-        wJ_phi = ev.wn[:, None, None] * J_phi
+        wJ_phiT = np.swapaxes(ev.wn[:, None, None] * J_phi, 1, 2)
         p = problem.normal_free
         on = p >= 0
-        Hpp[p[on], 3:, 3:] += np.einsum("nab,nac->nbc", wJ_phi[on], J_phi[on])
-        gp[p[on], 3:] += np.einsum("nab,na->nb", wJ_phi[on], ev.rn[on])
+        Hpp[p[on], 3:, 3:] += wJ_phiT[on] @ J_phi[on]
+        gp[p[on], 3:] += np.einsum("nba,na->nb", wJ_phiT[on], ev.rn[on])
         if problem.nw_active:
             wJ_nw = ev.wn[:, None, None] * J_nw
             Hll[L] += np.einsum("nab,nac->bc", wJ_nw, J_nw)
             gl[L] += np.einsum("nab,na->b", wJ_nw, ev.rn)
-            rows = 6 * p[on][:, None, None] + 3 + np.arange(3)[None, :, None]
-            cols = 3 * L + np.arange(3)[None, None, :]
-            W[rows, cols] += np.einsum("nab,nac->nbc", wJ_phi[on], J_nw[on])
+            W[p[on], 3:, L, :] += wJ_phiT[on] @ J_nw[on]
             # the residual is scale-free in n_w, so its radial direction has
             # exactly zero curvature and gradient; pin it so the block inverts
             n_hat = problem.n_w / np.linalg.norm(problem.n_w)
             Hll[L] += np.trace(Hll[L]) * np.outer(n_hat, n_hat)
-    return Hpp, gp, Hll, gl, W
+    return Hpp, gp, Hll, gl, W.reshape(6 * P, 3 * (L + extra))
 
 
 def _ba_solve(Hpp, gp, Hll, gl, W, lam):
@@ -736,11 +745,12 @@ def _ba_solve(Hpp, gp, Hll, gl, W, lam):
         dl = -np.einsum("lab,lb->la", Hll_inv, gl)
         return np.zeros((0, 6)), dl
     Lb = Hll.shape[0]
-    W3 = W.reshape(6 * P, Lb, 3)
-    WHinv = np.einsum("plb,lbc->plc", W3, Hll_inv).reshape(6 * P, 3 * Lb)
+    # W Hll^-1, block column by block column: (Lb, 6P, 3) @ (Lb, 3, 3)
+    W3 = W.reshape(6 * P, Lb, 3).swapaxes(0, 1)
+    WHinv = (W3 @ Hll_inv).swapaxes(0, 1).reshape(6 * P, 3 * Lb)
     Hred = -WHinv @ W.T
-    for p in range(P):
-        Hred[6 * p : 6 * p + 6, 6 * p : 6 * p + 6] += Hpp_d[p]
+    diag = np.arange(P)
+    Hred.reshape(P, 6, P, 6)[diag, :, diag, :] += Hpp_d
     gred = gp.ravel() - WHinv @ gl.ravel()
     dp = np.linalg.solve(Hred, -gred).reshape(P, 6)
     rhs = gl + (W.T @ dp.ravel()).reshape(Lb, 3)
@@ -823,18 +833,19 @@ def local_bundle_adjustment(
             if step_norm < config.step_tolerance:
                 converged = True
                 break
-            new_poses = dict(problem.poses)
-            for i, k in enumerate(problem.free_ids):
-                new_poses[k] = apply_update(dp[i], problem.poses[k])
+            # one batched update of every free pose
+            new_R, new_t = problem.R.copy(), problem.t.copy()
+            rows = problem.free_rows
+            new_R[rows], new_t[rows] = update_poses(dp, problem.R[rows], problem.t[rows])
             L = len(problem.lm_ids)
             new_points = problem.points + dl[:L]
             new_nw = problem.n_w
             if problem.nw_active:
                 new_nw = problem.n_w + dl[L]
-            new_ev = problem.evaluate(new_poses, new_points, new_nw)
+            new_ev = problem.evaluate(new_R, new_t, new_points, new_nw)
             if new_ev.cost < problem.ev.cost:
                 rel = (problem.ev.cost - new_ev.cost) / max(problem.ev.cost, 1e-300)
-                problem.poses = new_poses
+                problem.R, problem.t = new_R, new_t
                 problem.points = new_points
                 problem.n_w = new_nw
                 problem.ev = new_ev

@@ -126,7 +126,7 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     if np.any(pc[:, 2] <= 0.0):
         raise NonPositiveDepth("point behind camera while linearizing")
     Jpi = _pixel_jacobian(K, pc)
-    J_pose = np.concatenate([Jpi, -np.einsum("nij,njk->nik", Jpi, skew(pc))], axis=2)
+    J_pose = np.concatenate([Jpi, -(Jpi @ skew(pc))], axis=2)
     J_point = Jpi @ R
     if single:
         return J_pose[0], J_point[0]

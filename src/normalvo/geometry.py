@@ -25,6 +25,10 @@ _NEAR_PI_MARGIN = 1e-6
 # Below this angle the closed-form V / V^-1 coefficients lose digits to
 # cancellation (error ~ eps/angle^2), so a truncated series is used instead.
 _SERIES_ANGLE = 1e-2
+_I3 = np.eye(3)
+# skew(v) flattened row-major is v[_SKEW_INDEX] * _SKEW_SIGN
+_SKEW_INDEX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_SKEW_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
 
 
 class NonPositiveDepth(ValueError):
@@ -42,14 +46,7 @@ class NearPiRotationWarning(RuntimeWarning):
 def skew(v: np.ndarray) -> np.ndarray:
     """3x3 cross-product matrix of a 3-vector (last axis for batches)."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    return (v[..., _SKEW_INDEX] * _SKEW_SIGN).reshape(v.shape[:-1] + (3, 3))
 
 
 def _vee(m: np.ndarray) -> np.ndarray:
@@ -127,19 +124,12 @@ def transform_point(pose: PoseSE3, p: np.ndarray) -> np.ndarray:
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula; second-order Taylor below the small-angle cutoff."""
-    phi = np.asarray(phi, dtype=float)
-    w = skew(phi)
-    angle = np.linalg.norm(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) + w + 0.5 * (w @ w)
-    a2 = angle * angle
-    half_sin = np.sin(0.5 * angle)
-    return (
-        np.eye(3)
-        + (np.sin(angle) / angle) * w
-        + (2.0 * half_sin * half_sin / a2) * (w @ w)
-    )
+    """Rodrigues formula; second-order Taylor below the small-angle cutoff.
+
+    ``phi`` may carry leading batch axes, (..., 3) -> (..., 3, 3); each row
+    takes its own branch.
+    """
+    return _exp_and_left_jacobian(phi)[0]
 
 
 def so3_log(R: np.ndarray) -> np.ndarray:
@@ -168,20 +158,48 @@ def so3_log(R: np.ndarray) -> np.ndarray:
 
 
 def _left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """V matrix coupling the rotational twist into the translation of exp."""
+    """V matrix coupling the rotational twist into the translation of exp.
+
+    Batched like :func:`so3_exp`: (..., 3) -> (..., 3, 3).
+    """
+    return _exp_and_left_jacobian(phi)[1]
+
+
+def _exp_and_left_jacobian(phi: np.ndarray):
+    """``exp(phi) = I + a W + b W^2`` and ``V(phi) = I + b' W + c W^2`` with
+    ``W = skew(phi)``, for rotation vectors (..., 3), branched per row.
+
+    Below SMALL_ANGLE both use their Taylor forms. V's coefficients switch
+    to a truncated series below _SERIES_ANGLE, where the closed forms lose
+    digits to cancellation (error ~ eps/angle^2).
+    """
+    phi = np.asarray(phi, dtype=float)
+    shape = phi.shape[:-1] + (3, 3)
+    phi = phi.reshape(-1, 3)
     w = skew(phi)
-    angle = np.linalg.norm(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) + 0.5 * w + (w @ w) / 6.0
-    a2 = angle * angle
-    if angle < _SERIES_ANGLE:
-        b = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-        c = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    else:
-        half_sin = np.sin(0.5 * angle)
-        b = 2.0 * half_sin * half_sin / a2
-        c = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) + b * w + c * (w @ w)
+    ww = w @ w
+    a2 = np.einsum("ij,ij->i", phi, phi)
+    angle = np.sqrt(a2)
+    small = angle < SMALL_ANGLE
+    series = angle < _SERIES_ANGLE
+    safe = angle.copy()
+    safe[small] = 1.0
+    sin = np.sin(safe)
+    half_sin = np.sin(0.5 * safe)
+    a = sin / safe
+    a[small] = 1.0
+    b = 2.0 * half_sin * half_sin / (safe * safe)
+    b[small] = 0.5
+    b_v = b.copy()
+    c = (safe - sin) / (safe * safe * safe)
+    if series.any():
+        a2 = a2[series]
+        b_v[series] = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
+        c[series] = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
+    a, b, b_v, c = (x[:, None, None] for x in (a, b, b_v, c))
+    R = _I3 + a * w + b * ww
+    V = _I3 + b_v * w + c * ww
+    return R.reshape(shape), V.reshape(shape)
 
 
 def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
@@ -204,8 +222,14 @@ def se3_exp(xi: np.ndarray) -> PoseSE3:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (6,):
         raise ValueError("twist must have shape (6,)")
-    rho, phi = xi[:3], xi[3:]
-    return PoseSE3(so3_exp(phi), _left_jacobian(phi) @ rho)
+    R, t = _se3_exp_rows(xi[None])
+    return PoseSE3(R[0], t[0])
+
+
+def _se3_exp_rows(xi: np.ndarray):
+    """Rotations (P, 3, 3) and translations (P, 3) of twists (P, 6)."""
+    R, V = _exp_and_left_jacobian(xi[:, 3:])
+    return R, (V @ xi[:, :3, None])[:, :, 0]
 
 
 def se3_log(pose: PoseSE3) -> np.ndarray:
@@ -223,14 +247,27 @@ def nearest_rotation(R: np.ndarray) -> np.ndarray:
     return U @ D @ Vt
 
 
-def apply_update(xi: np.ndarray, pose: PoseSE3) -> PoseSE3:
-    """Left-multiplicative twist update ``exp(xi) * pose``.
+def update_poses(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
+    """Left-multiplicative twist updates ``exp(xi_i) * (R_i, t_i)`` of stacked
+    poses: twists (P, 6), rotations (P, 3, 3), translations (P, 3).
 
-    The rotation is re-projected onto SO(3) so that drift from repeated
-    float multiplications cannot accumulate across long update chains.
+    Each updated rotation gets one Newton-Schulz polar step,
+    ``R <- 1.5 R - 0.5 R R^T R``, which pulls an orthonormality error e to
+    about e^2, so drift from repeated float multiplications cannot
+    accumulate across long update chains. The arrays are returned
+    unvalidated; wrap a row in PoseSE3 where it leaves the solver.
     """
-    step = se3_exp(xi)
-    return PoseSE3(nearest_rotation(step.R @ pose.R), step.R @ pose.t + step.t)
+    step_R, step_t = _se3_exp_rows(np.asarray(xi, dtype=float))
+    R = step_R @ R
+    t = (step_R @ t[:, :, None])[:, :, 0] + step_t
+    return 1.5 * R - 0.5 * (R @ (np.swapaxes(R, 1, 2) @ R)), t
+
+
+def apply_update(xi: np.ndarray, pose: PoseSE3) -> PoseSE3:
+    """Left-multiplicative twist update ``exp(xi) * pose``: the one-pose case
+    of :func:`update_poses`."""
+    R, t = update_poses(np.reshape(xi, (1, 6)), pose.R[None], pose.t[None])
+    return PoseSE3(R[0], t[0])
 
 
 def project(K: Intrinsics, pc: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 ``benchmarks/tracing.py`` wraps functions by module and name from outside
 the package. A rename there would only show when a traced benchmark pass is
 run; these tests make it fail the ordinary suite instead. The tracer module
-is loaded from its file and only read, never modified.
+is loaded from its file and only read, never modified. One more test counts
+calls of two of the wrapped kernels, which must stay out of the solver steps.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from normalvo import estimator
+from normalvo import estimator, geometry
 from normalvo.estimator import SolverConfig
 from normalvo.geometry import PoseSE3
 from normalvo.simulator import SceneConfig, generate_sequence
@@ -50,9 +51,10 @@ def test_every_traced_function_resolves(tracing):
         assert callable(getattr(module, func, None)), f"normalvo.{short}.{func}"
 
 
-def test_tracer_records_layers_and_restores_originals(tracing):
-    # a 26-frame strip: the traced run takes a fraction of a second
-    seq = generate_sequence(
+@pytest.fixture(scope="module")
+def strip():
+    """A 26-frame strip: a run over it takes a fraction of a second."""
+    return generate_sequence(
         SceneConfig(
             landmark_count=300,
             extent_x=12.0,
@@ -65,13 +67,39 @@ def test_tracer_records_layers_and_restores_originals(tracing):
             seed=11,
         )
     )
+
+
+def test_tracer_records_layers_and_restores_originals(tracing, strip):
     before = _bindings(tracing)
     with tracing.Tracer() as tracer:
-        result = estimator.run_sequence(seq.frames, seq.intrinsics, SolverConfig())
+        result = estimator.run_sequence(strip.frames, strip.intrinsics, SolverConfig())
 
     assert any(r.keyframe_id is not None for r in result.records[1:])
     calls = {name: t["calls"] for name, t in tracer.layer_times().items()}
     assert calls.get("estimator.run_sequence.normal") == 1
-    assert calls.get("estimator.track_frame", 0) >= len(seq.frames) - 1
+    assert calls.get("estimator.track_frame", 0) >= len(strip.frames) - 1
     assert calls.get("estimator.local_bundle_adjustment", 0) >= 1
     assert _bindings(tracing) == before
+
+
+def test_solvers_update_stacked_poses_without_per_step_projection(strip, monkeypatch):
+    # the solvers update (R, t) arrays in one batched kernel per step: no
+    # per-pose apply_update, and one SVD per frame at most, in the motion
+    # model. Counts only; no timing is asserted.
+    calls = {"apply_update": 0, "nearest_rotation": 0}
+    for func in calls:
+        original = getattr(geometry, func)
+
+        def counting(*args, _func=func, _original=original, **kwargs):
+            calls[_func] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("normalvo") and getattr(mod, func, None) is original:
+                monkeypatch.setattr(mod, func, counting)
+
+    result = estimator.run_sequence(strip.frames, strip.intrinsics, SolverConfig())
+
+    assert any(r.keyframe_id is not None for r in result.records[1:])
+    assert calls["apply_update"] == 0
+    assert 0 < calls["nearest_rotation"] <= len(strip.frames)

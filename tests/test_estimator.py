@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import re
@@ -664,7 +665,12 @@ def test_ba_vectorized_cost_matches_reference_loop():
 
     problem = _BAProblem(ms, [0, 1], config)
     assert problem.nw_active
-    evaluation = problem.evaluate(problem.poses, problem.points, problem.n_w)
+    # the solver state is one stacked row per keyframe of all_kf_ids
+    assert problem.R.shape == (2, 3, 3) and problem.t.shape == (2, 3)
+    for row, k in enumerate(problem.all_kf_ids):
+        np.testing.assert_array_equal(problem.R[row], ms.keyframes[k].pose.R)
+        np.testing.assert_array_equal(problem.t[row], ms.keyframes[k].pose.t)
+    evaluation = problem.evaluate(problem.R, problem.t, problem.points, problem.n_w)
     assert evaluation.cost == pytest.approx(reference, rel=1e-12)
     assert map_cost(ms, config) == pytest.approx(reference, rel=1e-12)
 
@@ -949,6 +955,37 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     assert np.count_nonzero(ms.obs_kf < 0) > 0
     assert_map_consistent(ms)
     assert_map_consistent(ms, config.covisibility_min_shared)
+
+    # dropping two landmarks in three leaves more dead rows than live ones,
+    # so the arrays compact; the live rows keep their content and order,
+    # and a bundle adjustment matches the same map left uncompacted
+    uncompacted = copy.deepcopy(ms)
+    doomed_lms = [lm for lm in ms.landmarks if lm % 3]
+    doomed = np.flatnonzero(np.isin(ms.obs_lm, doomed_lms) & (ms.obs_kf >= 0))
+    uncompacted.obs_kf[doomed] = -1
+    for lm in doomed_lms:
+        del uncompacted.landmarks[lm]
+    live = uncompacted.obs_kf >= 0
+    assert 2 * np.count_nonzero(live) < live.size
+
+    ms.remove_observations(doomed)
+
+    assert ms.obs_kf.size == np.count_nonzero(live)
+    np.testing.assert_array_equal(ms.obs_kf, uncompacted.obs_kf[live])
+    np.testing.assert_array_equal(ms.obs_lm, uncompacted.obs_lm[live])
+    np.testing.assert_array_equal(ms.obs_uvu, uncompacted.obs_uvu[live])
+    assert_map_consistent(ms)
+    last = len(ms.keyframes) - 1
+    report = local_bundle_adjustment(ms, last, config)
+    assert report.free_poses > 0
+    assert report == local_bundle_adjustment(uncompacted, last, config)
+    for a, b in zip(ms.keyframes, uncompacted.keyframes):
+        np.testing.assert_array_equal(a.pose.matrix(), b.pose.matrix())
+    for lm, landmark in ms.landmarks.items():
+        np.testing.assert_array_equal(
+            landmark.position, uncompacted.landmarks[lm].position
+        )
+    assert_map_consistent(ms)
 
 
 def test_far_landmark_measured_without_disparity_is_kept():

@@ -9,15 +9,19 @@ from normalvo.geometry import (
     NearPiRotationWarning,
     NonPositiveDepth,
     PoseSE3,
+    _left_jacobian,
     apply_update,
+    nearest_rotation,
     project,
     quat_to_rotation,
     rotation_to_quat,
     se3_exp,
     se3_log,
+    skew,
     so3_exp,
     transform_point,
     triangulate,
+    update_poses,
 )
 
 K = Intrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, b=0.05)
@@ -126,6 +130,95 @@ def test_apply_update_is_left_multiplication():
         expected = se3_exp(xi).compose(T)
         got = apply_update(xi, T)
         np.testing.assert_allclose(got.matrix(), expected.matrix(), atol=1e-12)
+
+
+# Per-pose scalar forms of exp and V, as the package computed them before
+# its kernel took a batch axis; the batched rows must reproduce them.
+def reference_so3_exp(phi):
+    w = skew(phi)
+    angle = np.linalg.norm(phi)
+    if angle < 1e-8:
+        return np.eye(3) + w + 0.5 * (w @ w)
+    half_sin = np.sin(0.5 * angle)
+    return (
+        np.eye(3)
+        + (np.sin(angle) / angle) * w
+        + (2.0 * half_sin * half_sin / (angle * angle)) * (w @ w)
+    )
+
+
+def reference_left_jacobian(phi):
+    w = skew(phi)
+    angle = np.linalg.norm(phi)
+    if angle < 1e-8:
+        return np.eye(3) + 0.5 * w + (w @ w) / 6.0
+    a2 = angle * angle
+    if angle < 1e-2:
+        b = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
+        c = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
+    else:
+        half_sin = np.sin(0.5 * angle)
+        b = 2.0 * half_sin * half_sin / a2
+        c = (angle - np.sin(angle)) / (a2 * angle)
+    return np.eye(3) + b * w + c * (w @ w)
+
+
+def test_batched_update_matches_scalar_path_on_every_branch():
+    # one stack whose rows take every branch of exp and V: zero, the
+    # second-order Taylor form, V's series, either side of the series
+    # cutoff 1e-2, and the closed forms up to near pi
+    rng = np.random.default_rng(31)
+    angles = np.array([0.0, 1e-9, 5e-3, 1e-2 - 1e-9, 1e-2 + 1e-9, 0.5, 3.0])
+    axes = rng.normal(size=(angles.size, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    xi = np.hstack([rng.uniform(-2.0, 2.0, (angles.size, 3)), axes * angles[:, None]])
+    bases = [se3_exp(x) for x in random_twists(rng, angles.size)]
+    R = np.array([p.R for p in bases])
+    t = np.array([p.t for p in bases])
+
+    new_R, new_t = update_poses(xi, R, t)
+    V = _left_jacobian(xi[:, 3:])
+
+    for i in range(angles.size):
+        # V's angle-dependent terms are O(angle) and O(angle^2): scale the
+        # tolerance so a wrong branch shows at small angles too
+        expected_V = reference_left_jacobian(xi[i, 3:])
+        tol = 1e-12 * angles[i] ** 2
+        np.testing.assert_allclose(V[i], expected_V, rtol=0, atol=tol)
+        step_R = reference_so3_exp(xi[i, 3:])
+        step_t = reference_left_jacobian(xi[i, 3:]) @ xi[i, :3]
+        expected_R = nearest_rotation(step_R @ R[i])
+        expected_t = step_R @ t[i] + step_t
+        np.testing.assert_allclose(new_R[i], expected_R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_t[i], expected_t, rtol=0, atol=1e-12)
+        # the one-pose forms are rows of the same kernel
+        step = se3_exp(xi[i])
+        np.testing.assert_allclose(step.R, step_R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(step.t, step_t, rtol=0, atol=1e-12)
+        one = apply_update(xi[i], bases[i])
+        np.testing.assert_array_equal(one.R, new_R[i])
+        np.testing.assert_array_equal(one.t, new_t[i])
+    rows = np.array([so3_exp(x[3:]) for x in xi])
+    np.testing.assert_array_equal(so3_exp(xi[:, 3:]), rows)
+
+
+def test_chained_updates_stay_orthonormal():
+    # the Newton-Schulz polar step keeps 10^4 chained left updates on SO(3)
+    rng = np.random.default_rng(32)
+    twists = random_twists(rng, 10_000)
+    R, t = np.eye(3)[None], np.zeros((1, 3))
+    for xi in twists:
+        R, t = update_poses(xi[None], R, t)
+    assert np.max(np.abs(R[0].T @ R[0] - np.eye(3))) <= 1e-12
+    pose = PoseSE3(R[0], t[0])  # validates orthonormality and det
+    assert abs(np.linalg.det(pose.R) - 1.0) <= 1e-12
+
+    # a rotation knocked 1e-6 off SO(3) lands within ~(1e-6)^2 of the polar
+    # factor after one (zero) update
+    off = R + rng.uniform(-1e-6, 1e-6, R.shape)
+    back, _ = update_poses(np.zeros((1, 6)), off, t)
+    assert np.max(np.abs(back[0].T @ back[0] - np.eye(3))) <= 1e-11
+    np.testing.assert_allclose(back[0], nearest_rotation(off[0]), rtol=0, atol=1e-11)
 
 
 def test_project_centered_point():
