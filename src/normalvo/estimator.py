@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,12 @@ class FrameData:
     frame_normal: np.ndarray | None = None
 
     def __post_init__(self):
-        ids = np.asarray(self.landmark_ids, dtype=int)
+        raw = np.asarray(self.landmark_ids)
+        ids = raw.astype(int, copy=False)
+        if raw.ndim != 1:
+            raise ValueError("landmark_ids must be one-dimensional")
+        if ids is not raw and not np.array_equal(ids, raw):  # 1.7 is not 1
+            raise ValueError("landmark_ids must be integers")
         meas = np.asarray(self.measurements, dtype=float)
         if meas.shape != (ids.size, 3):
             raise ValueError("measurements must have shape (len(landmark_ids), 3)")
@@ -146,6 +152,14 @@ class FrameData:
                 raise ValueError("frame normal must be unit length")
             object.__setattr__(self, "frame_normal", n)
 
+    @cached_property
+    def tangent_basis(self) -> np.ndarray | None:
+        """Tangent basis of the frame normal (None without one), built on
+        first use and shared by every tracking attempt and the keyframe."""
+        if self.frame_normal is None:
+            return None
+        return make_tangent_basis(self.frame_normal)
+
 
 @dataclass
 class Keyframe:
@@ -159,15 +173,13 @@ class Keyframe:
     reference_inliers: int = 0
 
 
-@dataclass
-class Landmark:
-    id: int
-    position: np.ndarray
-    misses: int = 0  # consecutive tracking rejections, reset on acceptance
-
-
 class MapState:
     """Keyframes, landmarks and the observations tying them together.
+
+    Landmarks are four arrays aligned by row: ids ``landmarks``, ascending,
+    positions ``lm_pos`` (N, 3), ``lm_misses``, the consecutive tracking
+    rejections (reset on acceptance), and ``lm_nobs``, the number of live
+    observations. :meth:`landmark_rows` maps ids to rows.
 
     Observations are three parallel arrays: keyframe id ``obs_kf``, landmark
     id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
@@ -184,7 +196,10 @@ class MapState:
         self.intrinsics = intrinsics
         self.config = config
         self.keyframes: list[Keyframe] = []
-        self.landmarks: dict[int, Landmark] = {}
+        self.landmarks = np.zeros(0, dtype=int)
+        self.lm_pos = np.zeros((0, 3))
+        self.lm_misses = np.zeros(0, dtype=int)
+        self.lm_nobs = np.zeros(0, dtype=int)
         self.obs_kf = np.zeros(0, dtype=int)
         self.obs_lm = np.zeros(0, dtype=int)
         self.obs_uvu = np.zeros((0, 3))
@@ -201,6 +216,32 @@ class MapState:
         """Ids of the live observations."""
         return np.flatnonzero(self.obs_kf >= 0)
 
+    def landmark_rows(self, ids) -> np.ndarray:
+        """Rows of landmarks ``ids`` in the landmark arrays, -1 where an id
+        is not mapped."""
+        ids = np.asarray(ids, dtype=int)
+        if not self.landmarks.size:
+            return np.full(ids.shape, -1)
+        rows = np.searchsorted(self.landmarks, ids)
+        rows = np.minimum(rows, self.landmarks.size - 1)
+        return np.where(self.landmarks[rows] == ids, rows, -1)
+
+    def add_landmarks(self, ids, positions):
+        """Map new landmarks ``ids`` at world ``positions`` (N, 3), without
+        observations yet."""
+        ids = np.asarray(ids, dtype=int).reshape(-1)
+        order = np.argsort(ids)
+        ids = ids[order]
+        if np.any(self.landmark_rows(ids) >= 0) or np.any(ids[1:] == ids[:-1]):
+            raise ValueError("landmark id already mapped")
+        at = np.searchsorted(self.landmarks, ids)
+        self.landmarks = np.insert(self.landmarks, at, ids)
+        self.lm_pos = np.insert(
+            self.lm_pos, at, np.reshape(positions, (-1, 3))[order], axis=0
+        )
+        self.lm_misses = np.insert(self.lm_misses, at, 0)
+        self.lm_nobs = np.insert(self.lm_nobs, at, 0)
+
     def add_observations(self, kf_id: int, landmark_ids, uvu) -> np.ndarray:
         """Record measurements ``uvu`` (N, 3) of existing landmarks from one
         keyframe; returns their ids. A keyframe observes a landmark once."""
@@ -208,9 +249,10 @@ class MapState:
         seen = np.isin(ids, self.obs_lm[self.obs_kf == kf_id])
         if seen.any() or np.unique(ids).size != ids.size:
             raise ValueError(f"keyframe {kf_id} observes a landmark twice")
-        missing = [int(i) for i in ids if int(i) not in self.landmarks]
-        if missing:
-            raise KeyError(f"no landmark {missing[0]}")
+        rows = self.landmark_rows(ids)
+        if np.any(rows < 0):
+            raise KeyError(f"no landmark {ids[rows < 0][0]}")
+        self.lm_nobs[rows] += 1
         start = self.obs_kf.size
         self.obs_kf = np.concatenate([self.obs_kf, np.full(ids.size, kf_id)])
         self.obs_lm = np.concatenate([self.obs_lm, ids])
@@ -218,15 +260,22 @@ class MapState:
         return np.arange(start, self.obs_kf.size)
 
     def remove_observations(self, obs_ids):
-        """Drop observations by id and delete the landmarks left unobserved;
-        compacts the arrays once dead rows outnumber live ones."""
-        obs_ids = np.asarray(obs_ids, dtype=int)
+        """Drop observations by id (dead or repeated ids count once) and
+        delete the landmarks left unobserved; compacts the arrays once dead
+        rows outnumber live ones."""
+        obs_ids = np.unique(np.asarray(obs_ids, dtype=int))
+        obs_ids = obs_ids[self.obs_kf[obs_ids] >= 0]
         self.obs_kf[obs_ids] = -1
+        touched, counts = np.unique(self.obs_lm[obs_ids], return_counts=True)
+        rows = np.searchsorted(self.landmarks, touched)
+        self.lm_nobs[rows] -= counts
+        orphans = rows[self.lm_nobs[rows] == 0]
+        if orphans.size:
+            self.landmarks = np.delete(self.landmarks, orphans)
+            self.lm_pos = np.delete(self.lm_pos, orphans, axis=0)
+            self.lm_misses = np.delete(self.lm_misses, orphans)
+            self.lm_nobs = np.delete(self.lm_nobs, orphans)
         live = self.obs_kf >= 0
-        touched = np.unique(self.obs_lm[obs_ids])
-        if touched.size:
-            for lm_id in touched[~np.isin(touched, self.obs_lm[live])]:
-                del self.landmarks[int(lm_id)]
         if 2 * np.count_nonzero(live) < live.size:
             self.obs_kf = self.obs_kf[live]
             self.obs_lm = self.obs_lm[live]
@@ -260,8 +309,11 @@ def constant_velocity_init(
         return PoseSE3.identity()
     if prev_prev is None:
         return prev
-    extrapolated = prev.compose(prev_prev.inverse()).compose(prev)
-    return PoseSE3(nearest_rotation(extrapolated.R), extrapolated.t)
+    # prev * prev_prev^-1 * prev, composed on the arrays
+    R_inv = prev_prev.R.T
+    R_step = prev.R @ R_inv
+    t_step = prev.R @ (-R_inv @ prev_prev.t) + prev.t
+    return PoseSE3(nearest_rotation(R_step @ prev.R), R_step @ prev.t + t_step)
 
 
 @dataclass(frozen=True)
@@ -311,7 +363,9 @@ def _evaluate(
         rn = math.sqrt(config.loss.normal_weight) * normal_residual(
             basis, R[rows], n_w, frame_normals
         )
-        rho_n, wn = huber(np.linalg.norm(rn, axis=1), config.loss.huber_delta_normal)
+        rho_n, wn = huber(
+            np.sqrt(np.einsum("ij,ij->i", rn, rn)), config.loss.huber_delta_normal
+        )
         cost += float(np.sum(rho_n))
     return _Evaluation(pc=pc, r=r, sq=sq, w=w, rn=rn, wn=wn, cost=cost)
 
@@ -332,9 +386,8 @@ def track_frame(
     when the post-fit inlier fraction falls below the configured floor.
     """
     K = map_state.intrinsics
-    mask = np.array(
-        [int(i) in map_state.landmarks for i in frame.landmark_ids], dtype=bool
-    )
+    lm_rows = map_state.landmark_rows(frame.landmark_ids)
+    mask = lm_rows >= 0
     matched_ids = frame.landmark_ids[mask]
     if matched_ids.size < config.min_track_observations:
         raise TrackingLost(
@@ -342,7 +395,7 @@ def track_frame(
             f"{matched_ids.size} mapped observations, "
             f"need {config.min_track_observations}",
         )
-    points = np.array([map_state.landmarks[int(i)].position for i in matched_ids])
+    points = map_state.lm_pos[lm_rows[mask]]
     rows = np.zeros(matched_ids.size, dtype=int)
     n_w = map_state.world_normal
     normals = None
@@ -352,7 +405,7 @@ def track_frame(
         and n_w is not None
         and frame.frame_normal is not None
     ):
-        basis = make_tangent_basis(frame.frame_normal)
+        basis = frame.tangent_basis
         normals = (rows[:1], basis[None], frame.frame_normal[None])
     terms = (points, rows, np.arange(rows.size), frame.measurements[mask], normals, n_w)
 
@@ -444,25 +497,21 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
     ``cull_misses`` consecutive rejections marks a landmark as poisoned.
     Returns the number of landmarks removed.
     """
-    for lid in track.inlier_ids:
-        lm = map_state.landmarks.get(int(lid))
-        if lm is not None:
-            lm.misses = 0
-    culled = []
-    for lid in track.outlier_ids:
-        lm = map_state.landmarks.get(int(lid))
-        if lm is None:
-            continue
-        lm.misses += 1
-        if lm.misses >= config.cull_misses:
-            culled.append(lm.id)
-    if culled:
+    misses = map_state.lm_misses
+    rows = map_state.landmark_rows(track.inlier_ids)
+    misses[rows[rows >= 0]] = 0
+    rows = map_state.landmark_rows(track.outlier_ids)
+    rows = rows[rows >= 0]
+    misses[rows] += 1
+    culled = map_state.landmarks[rows[misses[rows] >= config.cull_misses]]
+    if culled.size:
         # "sort" compares element-wise against a short list; numpy's default
         # builds a lookup table over the whole id range, ten times slower here
-        rows = np.isin(map_state.obs_lm, culled, kind="sort") & (map_state.obs_kf >= 0)
-        map_state.remove_observations(np.flatnonzero(rows))
-        logger.debug("culled %d landmarks after frame tracking", len(culled))
-    return len(culled)
+        live = map_state.obs_kf >= 0
+        doomed = np.isin(map_state.obs_lm, culled, kind="sort") & live
+        map_state.remove_observations(np.flatnonzero(doomed))
+        logger.debug("culled %d landmarks after frame tracking", culled.size)
+    return int(culled.size)
 
 
 def select_keyframe(
@@ -496,23 +545,18 @@ def insert_keyframe(
         timestamp=frame.timestamp,
         pose=pose,
         normal=frame.frame_normal,
-        basis=(
-            make_tangent_basis(frame.frame_normal)
-            if frame.frame_normal is not None
-            else None
-        ),
+        basis=frame.tangent_basis,
         fixed=len(map_state.keyframes) == 0,
     )
     map_state.keyframes.append(kf)
 
     ids, meas = frame.landmark_ids, frame.measurements
-    mapped = np.array([int(i) in map_state.landmarks for i in ids], dtype=bool)
+    mapped = map_state.landmark_rows(ids) >= 0
     new = ~mapped & (meas[:, 0] - meas[:, 2] > config.min_disparity)
     world = transform_point(
         pose.inverse(), triangulate(K, meas[new], d_min=config.min_disparity)
     )
-    for lm_id, position in zip(ids[new].tolist(), world):
-        map_state.landmarks[lm_id] = Landmark(id=lm_id, position=position)
+    map_state.add_landmarks(ids[new], world)
     keep = new | (mapped & np.isin(ids, matched_ids))
     map_state.add_observations(kf.id, ids[keep], meas[keep])
     kf.reference_inliers = int(np.count_nonzero(keep))
@@ -610,9 +654,9 @@ class _BAProblem:
         # state
         self.R = np.array([kfs[k].pose.R for k in self.all_kf_ids]).reshape(-1, 3, 3)
         self.t = np.array([kfs[k].pose.t for k in self.all_kf_ids]).reshape(-1, 3)
-        self.points = np.array(
-            [map_state.landmarks[lm].position for lm in self.lm_ids.tolist()]
-        ).reshape(-1, 3)
+        # every landmark with a live observation is mapped
+        lm_rows = np.searchsorted(map_state.landmarks, self.lm_ids)
+        self.points = map_state.lm_pos[lm_rows]
         self.n_w = (
             None if map_state.world_normal is None else map_state.world_normal.copy()
         )
@@ -647,9 +691,9 @@ class _BAProblem:
     def write_back(self):
         for k, row in zip(self.free_ids, self.free_rows.tolist()):
             self.map.keyframes[k].pose = PoseSE3(self.R[row], self.t[row])
-        for lm, pos in zip(self.lm_ids.tolist(), self.points):
-            if lm in self.map.landmarks:
-                self.map.landmarks[lm].position = pos.copy()
+        rows = self.map.landmark_rows(self.lm_ids)
+        mapped = rows >= 0
+        self.map.lm_pos[rows[mapped]] = self.points[mapped]
         if self.nw_active and self.n_w is not None:
             self.map.world_normal = self.n_w / np.linalg.norm(self.n_w)
 

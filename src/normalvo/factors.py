@@ -17,15 +17,14 @@ import numpy as np
 
 from .geometry import Intrinsics, NonPositiveDepth, PoseSE3, skew
 
+_I3 = np.eye(3)
+
 #: 95% chi-square quantiles for 3 and 2 degrees of freedom.
 CHI2_95_3DOF = 7.815
 CHI2_95_2DOF = 5.991
 
 #: Largest deviation from unit length accepted for a measured frame normal.
 NORMAL_UNIT_TOL = 1e-9
-
-_SEED_X = np.array([1.0, 0.0, 0.0])
-_SEED_Y = np.array([0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,8 @@ def huber(r, delta: float):
     """
     r = np.asarray(r, dtype=float)
     a = np.abs(r)
-    quadratic = a <= delta
-    cost = np.where(quadratic, r * r, 2.0 * delta * a - delta * delta)
-    with np.errstate(divide="ignore"):
-        weight = np.where(quadratic, 1.0, delta / np.where(a > 0.0, a, 1.0))
+    cost = np.where(a <= delta, r * r, 2.0 * delta * a - delta * delta)
+    weight = delta / np.maximum(a, delta)
     if r.ndim == 0:
         return float(cost), float(weight)
     return cost, weight
@@ -66,19 +63,23 @@ def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:
 
     Rows are b0 = n x v / ||.|| and b1 = n x b0 / ||.|| with the fixed seed
     v = (1,0,0), switching to v = (0,1,0) when |n_x| > 0.9. Built once per
-    keyframe and reused for every evaluation of its normal residual.
+    frame (``FrameData.tangent_basis``) and reused for every evaluation of
+    its normal residual, in tracking and in its keyframe.
     """
     n = np.asarray(frame_normal, dtype=float)
     if n.shape != (3,):
         raise ValueError("frame normal must have shape (3,)")
-    if abs(np.linalg.norm(n) - 1.0) > NORMAL_UNIT_TOL:
+    x, y, z = n.tolist()
+    if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= NORMAL_UNIT_TOL:  # NaN too
         raise ValueError("frame normal must be unit length")
-    v = _SEED_X if abs(n[0]) <= 0.9 else _SEED_Y
-    b0 = np.cross(n, v)
-    b0 = b0 / np.linalg.norm(b0)
-    b1 = np.cross(n, b0)
-    b1 = b1 / np.linalg.norm(b1)
-    return np.stack([b0, b1])
+    # b0 = n x v: (0, z, -y) for v = (1,0,0), (-z, 0, x) for v = (0,1,0)
+    u, v, w = (0.0, z, -y) if abs(x) <= 0.9 else (-z, 0.0, x)
+    norm = math.sqrt(u * u + v * v + w * w)
+    u, v, w = u / norm, v / norm, w / norm
+    # b1 = n x b0
+    p, q, r = y * w - z * v, z * u - x * w, x * v - y * u
+    norm = math.sqrt(p * p + q * q + r * r)
+    return np.array([[u, v, w], [p / norm, q / norm, r / norm]])
 
 
 def reprojection_residual(
@@ -147,7 +148,7 @@ def normal_residual(
     difference along n_k are annihilated by construction of the basis.
     """
     n_w = np.asarray(world_normal, dtype=float)
-    norm = np.linalg.norm(n_w)
+    norm = math.sqrt(n_w @ n_w)
     if norm <= 1e-6:
         raise ValueError("world normal norm must exceed 1e-6")
     d = rotation @ (n_w / norm) - np.asarray(frame_normal, dtype=float)
@@ -164,11 +165,11 @@ def normal_jacobian(basis: np.ndarray, rotation: np.ndarray, world_normal: np.nd
     normalization of the world normal.
     """
     n_w = np.asarray(world_normal, dtype=float)
-    norm = np.linalg.norm(n_w)
+    norm = math.sqrt(n_w @ n_w)
     if norm <= 1e-6:
         raise ValueError("world normal norm must exceed 1e-6")
     n_hat = n_w / norm
     m = rotation @ n_hat
     J_phi = -basis @ skew(m)
-    J_nw = basis @ rotation @ (np.eye(3) - np.outer(n_hat, n_hat)) / norm
+    J_nw = basis @ rotation @ (_I3 - n_hat[:, None] * n_hat) / norm
     return J_phi, J_nw

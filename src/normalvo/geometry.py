@@ -277,16 +277,14 @@ def project(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     Raises NonPositiveDepth if any Z <= 0.
     """
     pc = np.asarray(pc, dtype=float)
-    single = pc.ndim == 1
-    pts = np.atleast_2d(pc)
-    z = pts[:, 2]
+    x, y, z = pc[..., 0], pc[..., 1], pc[..., 2]
     if np.any(z <= 0.0):
         raise NonPositiveDepth(f"depth must be positive, got min Z = {z.min()!r}")
-    uL = K.fx * pts[:, 0] / z + K.cx
-    v = K.fy * pts[:, 1] / z + K.cy
-    uR = K.fx * (pts[:, 0] - K.b) / z + K.cx
-    out = np.stack([uL, v, uR], axis=-1)
-    return out[0] if single else out
+    out = np.empty(pc.shape)
+    out[..., 0] = K.fx * x / z + K.cx
+    out[..., 1] = K.fy * y / z + K.cy
+    out[..., 2] = K.fx * (x - K.b) / z + K.cx
+    return out
 
 
 def triangulate(

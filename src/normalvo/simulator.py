@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimator import FrameData
 from .geometry import DEFAULT_MIN_DISPARITY, Intrinsics, PoseSE3, project, so3_exp
 
 #: Spacing between lawn-mower lanes [m]; turns are semicircles of half this.
@@ -77,16 +78,13 @@ class SceneConfig:
         return int(math.floor(self.trajectory_length / self.speed * self.frame_rate)) + 1
 
 
-@dataclass
-class FrameObservations:
-    """Rendered measurements of one frame, with ground-truth outlier labels."""
+@dataclass(frozen=True)
+class FrameObservations(FrameData):
+    """Rendered measurements of one frame, with ground-truth outlier labels:
+    ``outlier_mask`` (N,) is True where an offset was injected. The frame
+    normal is a unit camera-frame normal with z-component < 0."""
 
-    frame_id: int
-    timestamp: float
-    landmark_ids: np.ndarray      # (N,) int
-    measurements: np.ndarray      # (N, 3) float, (uL, v, uR)
-    outlier_mask: np.ndarray      # (N,) bool, True where the offset was injected
-    frame_normal: np.ndarray      # (3,) unit, camera frame, z-component < 0
+    outlier_mask: np.ndarray = field(kw_only=True)
 
 
 @dataclass

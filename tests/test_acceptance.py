@@ -27,7 +27,6 @@ from normalvo.cli import main
 from normalvo.estimator import (
     FrameData,
     Keyframe,
-    Landmark,
     MapState,
     SolverConfig,
     local_bundle_adjustment,
@@ -369,10 +368,10 @@ def _corrupted_two_view(n_landmarks=600, outlier_fraction=0.05, seed=61):
     total = 2 * n_landmarks
     n_dirty = int(round(outlier_fraction * total))
     corrupt = set(rng.choice(total, size=n_dirty, replace=False).tolist())
+    ms.add_landmarks(np.arange(n_landmarks), points)
     meas = np.zeros((len(poses), n_landmarks, 3))
     flat = 0
     for i, p in enumerate(points):
-        ms.landmarks[i] = Landmark(id=i, position=p.copy())
         for kf_id, pose in enumerate(poses):
             uvu = project(K, pose.R @ p + pose.t) + rng.normal(0.0, 0.5, 3)
             if flat in corrupt:
@@ -525,8 +524,7 @@ def test_criterion_8_tracking_speed(capsys):
         [rng.uniform(-2.5, 2.5, n), rng.uniform(-1.8, 1.8, n), rng.uniform(4.0, 8.0, n)]
     )
     ms = MapState(K, config)
-    for i, p in enumerate(points):
-        ms.landmarks[i] = Landmark(id=i, position=p.copy())
+    ms.add_landmarks(np.arange(n), points)
     n_w = unit([0.02, -0.04, -1.0])
     ms.world_normal = n_w
 

@@ -80,6 +80,11 @@ def test_tracer_records_layers_and_restores_originals(tracing, strip):
     assert calls.get("estimator.track_frame", 0) >= len(strip.frames) - 1
     assert calls.get("estimator.local_bundle_adjustment", 0) >= 1
     assert _bindings(tracing) == before
+    # the map sizes the benchmark records, read through the same surface
+    m = result.map_state
+    assert tracer.counts["map.keyframes"] == len(m.keyframes) > 0
+    assert tracer.counts["map.landmarks"] == len(m.landmarks) > 0
+    assert tracer.counts["map.observations"] == len(m.observations) > 0
 
 
 def test_solvers_update_stacked_poses_without_per_step_projection(strip, monkeypatch):

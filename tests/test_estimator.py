@@ -12,11 +12,13 @@ from normalvo import estimator
 from normalvo.estimator import (
     FrameData,
     Keyframe,
-    Landmark,
     MapState,
     SolverConfig,
     TrackingLost,
     TrackResult,
+    _ba_assemble,
+    _ba_linearize,
+    _ba_solve,
     _BAProblem,
     constant_velocity_init,
     cull_landmarks,
@@ -66,9 +68,19 @@ def scatter_points(rng, n):
 
 def landmark_map(points, config=None):
     ms = MapState(K, config or SolverConfig())
-    for i, p in enumerate(points):
-        ms.landmarks[i] = Landmark(id=i, position=np.array(p))
+    ms.add_landmarks(np.arange(len(points)), points)
     return ms
+
+
+def landmark_row(ms, lm_id):
+    """Row of mapped landmark ``lm_id`` in the landmark arrays."""
+    (row,) = ms.landmark_rows([lm_id])
+    assert row >= 0, f"landmark {lm_id} is not mapped"
+    return int(row)
+
+
+def position(ms, lm_id):
+    return ms.lm_pos[landmark_row(ms, lm_id)]
 
 
 def frame_at(pose_w2c, points, frame_id=0, normal=None):
@@ -113,9 +125,9 @@ def two_keyframe_map(config, *, n=40, seed=3, with_normal=False, pixel_noise=0.0
         )
     if n_w is not None:
         ms.world_normal = n_w.copy()
+    ms.add_landmarks(np.arange(n), points)
     meas = np.zeros((2, n, 3))
     for i, p in enumerate(points):
-        ms.landmarks[i] = Landmark(id=i, position=p.copy())
         for kf_id, pose in enumerate([pose0, pose1]):
             meas[kf_id, i] = project(K, pose.R @ p + pose.t)
             if pixel_noise:
@@ -156,7 +168,9 @@ def brute_force_covisibility(ms):
 
 def assert_map_consistent(ms, min_shared=1):
     """covisibility and covisible_keyframes agree with the brute-force
-    recount, and a landmark is mapped iff it has a live observation."""
+    recount; a landmark is mapped iff it has a live observation; landmark
+    ids ascend strictly, and their position, miss and live-observation
+    count rows line up with them, the counts equal to a recount."""
     fresh = brute_force_covisibility(ms)
     for k in range(len(ms.keyframes)):
         edges = fresh.get(k, {})
@@ -168,8 +182,58 @@ def assert_map_consistent(ms, min_shared=1):
             (j for j, c in edges.items() if c >= min_shared),
             key=lambda j: (-edges[j], j),
         )
-    live = set(ms.obs_lm[ms.obs_kf >= 0].tolist())
-    assert set(ms.landmarks) == live
+    recount = {}
+    for row in range(ms.obs_kf.size):
+        if ms.obs_kf[row] >= 0:
+            lm_id = int(ms.obs_lm[row])
+            recount[lm_id] = recount.get(lm_id, 0) + 1
+    assert ms.landmarks.tolist() == sorted(recount)
+    assert np.all(np.diff(ms.landmarks) > 0)
+    n = ms.landmarks.size
+    assert ms.lm_pos.shape == (n, 3)
+    assert ms.lm_misses.shape == (n,) and ms.lm_nobs.shape == (n,)
+    assert ms.lm_nobs.tolist() == [recount[i] for i in ms.landmarks.tolist()]
+
+
+# --- frame input -------------------------------------------------------------
+
+
+MALFORMED_FRAMES = [
+    pytest.param(dict(measurements=np.zeros((3, 3))), "shape", id="short-meas"),
+    pytest.param(dict(landmark_ids=[0, 1, 1, 2]), "twice", id="repeated-id"),
+    pytest.param(
+        dict(measurements=np.full((4, 3), np.nan)), "finite", id="nan-measurement"
+    ),
+    pytest.param(dict(frame_normal=[0.0, 0.0, 2.0]), "unit", id="non-unit-normal"),
+    pytest.param(dict(frame_normal=[0.0, 1.0]), "shape", id="short-normal"),
+    pytest.param(
+        dict(landmark_ids=np.arange(4).reshape(4, 1)), "one-dimensional", id="2d-ids"
+    ),
+    pytest.param(
+        dict(landmark_ids=[0.0, 1.7, 2.0, 3.0]), "integers", id="fractional-id"
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_FRAMES)
+def test_frame_data_rejects_malformed_input(edit, message):
+    fields = dict(
+        frame_id=0,
+        timestamp=0.0,
+        landmark_ids=np.arange(4),
+        measurements=np.tile([330.0, 240.0, 310.0], (4, 1)),
+        frame_normal=None,
+    )
+    FrameData(**fields)
+    fields.update(edit)
+    with pytest.raises(ValueError, match=message):
+        FrameData(**fields)
+
+
+def test_frame_data_accepts_whole_float_ids_as_integers():
+    frame = FrameData(0, 0.0, [0.0, 3.0], np.tile([330.0, 240.0, 310.0], (2, 1)))
+    assert frame.landmark_ids.dtype.kind == "i"
+    assert frame.landmark_ids.tolist() == [0, 3]
 
 
 # --- motion model ------------------------------------------------------------
@@ -196,6 +260,21 @@ def test_motion_model_extrapolates_constant_twist():
     expect = step.compose(b)
     np.testing.assert_allclose(init.R, expect.R, rtol=0, atol=1e-12)
     np.testing.assert_allclose(init.t, expect.t, rtol=0, atol=1e-12)
+
+
+def test_motion_model_validates_one_pose(monkeypatch):
+    a = se3_exp(np.array([0.05, -0.02, 0.01, 0.01, 0.02, -0.015]))
+    b = se3_exp(np.array([0.24, 0.0, 0.0, 0.0, 0.0, 0.03])).compose(a)
+    built = []
+    original = PoseSE3.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PoseSE3, "__post_init__", counting)
+    init = constant_velocity_init(b, a)
+    assert built == [init]
 
 
 def test_motion_model_keeps_rotation_orthonormal_over_long_recursions():
@@ -368,7 +447,7 @@ def test_cull_retires_persistently_rejected_landmarks():
     )
     assert cull_landmarks(ms, reject, config) == 0
     assert cull_landmarks(ms, reject, config) == 0
-    assert ms.landmarks[2].misses == 2
+    assert ms.lm_misses[landmark_row(ms, 2)] == 2
 
     # one clean re-acceptance pardons the streak
     pardon = TrackResult(
@@ -379,7 +458,7 @@ def test_cull_retires_persistently_rejected_landmarks():
         cost=0.0,
     )
     cull_landmarks(ms, pardon, config)
-    assert ms.landmarks[2].misses == 0
+    assert ms.lm_misses[landmark_row(ms, 2)] == 0
 
     for _ in range(2):
         assert cull_landmarks(ms, reject, config) == 0
@@ -418,9 +497,7 @@ def test_insert_first_keyframe_triangulates_and_seeds_normal():
     assert kf.id == 0 and kf.fixed
     assert set(ms.landmarks) == set(range(20))
     for i in range(20):
-        np.testing.assert_allclose(
-            ms.landmarks[i].position, near[i], rtol=0, atol=1e-9
-        )
+        np.testing.assert_allclose(position(ms, i), near[i], rtol=0, atol=1e-9)
     np.testing.assert_allclose(ms.world_normal, n0, rtol=0, atol=1e-15)
     assert kf.reference_inliers == 20
     assert ms.normal_init_remaining == config.normal_init_window - 1
@@ -462,9 +539,7 @@ def test_insert_seeds_world_normal_in_world_frame():
 
     np.testing.assert_allclose(ms.world_normal, pose.R.T @ n_k, rtol=0, atol=1e-12)
     for i in range(15):
-        np.testing.assert_allclose(
-            ms.landmarks[i].position, world[i], rtol=0, atol=1e-9
-        )
+        np.testing.assert_allclose(position(ms, i), world[i], rtol=0, atol=1e-9)
 
 
 # --- map bookkeeping -----------------------------------------------------------
@@ -477,8 +552,7 @@ def test_remove_observation_updates_covisibility_and_orphans():
         ms.keyframes.append(
             Keyframe(id=k, frame_id=k, timestamp=float(k), pose=PoseSE3.identity())
         )
-    for i in range(2):
-        ms.landmarks[i] = Landmark(id=i, position=np.array([0.0, 0.0, 5.0 + i]))
+    ms.add_landmarks([0, 1], [[0.0, 0.0, 5.0], [0.0, 0.0, 6.0]])
     uvu = np.array([[330.0, 240.0, 310.0]] * 2)
     for k in range(2):
         ms.add_observations(k, [0, 1], uvu)
@@ -524,7 +598,78 @@ def test_chi_square_boundary_classification():
     assert_map_consistent(ms)
 
 
+def test_remove_observations_counts_dead_and_repeated_ids_once():
+    config = SolverConfig()
+    ms, _, _ = two_keyframe_map(config, n=3, seed=5)
+    row = obs_row(ms, 0, 0)
+
+    ms.remove_observations([row, row])  # landmark 0 keeps its other observation
+    assert ms.lm_nobs[landmark_row(ms, 0)] == 1
+    ms.remove_observations([row])  # already dead: nothing left to count
+    assert ms.lm_nobs[landmark_row(ms, 0)] == 1
+    assert observers(ms, 0) == {1}
+    assert_map_consistent(ms)
+
+    ms.remove_observations([obs_row(ms, 1, 0)])
+    assert 0 not in ms.landmarks
+    assert_map_consistent(ms)
+
+
+def test_landmarks_stay_sorted_and_reject_a_second_mapping():
+    ms = MapState(K, SolverConfig())
+    ms.add_landmarks([7, 2], [[0.0, 0.0, 7.0], [0.0, 0.0, 2.0]])
+    ms.add_landmarks([5, 9, 0], [[0.0, 0.0, 5.0], [0.0, 0.0, 9.0], [0.0, 0.0, 0.5]])
+    assert ms.landmarks.tolist() == [0, 2, 5, 7, 9]
+    assert ms.lm_pos[:, 2].tolist() == [0.5, 2.0, 5.0, 7.0, 9.0]
+    assert ms.landmark_rows([9, 4, 0, 10]).tolist() == [4, -1, 0, -1]
+    with pytest.raises(ValueError, match="already mapped"):
+        ms.add_landmarks([3, 5], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="already mapped"):
+        ms.add_landmarks([3, 3], np.zeros((2, 3)))
+    assert ms.landmarks.tolist() == [0, 2, 5, 7, 9]
+
+
 # --- bundle adjustment ----------------------------------------------------------
+
+
+def test_ba_damped_step_matches_dense_solve():
+    # the Schur solve must equal solving the whole damped system at once,
+    # H + lam diag(H), with the pose blocks damped like the landmark ones
+    config = SolverConfig()
+    ms, _, poses = two_keyframe_map(
+        config, n=12, seed=24, with_normal=True, pixel_noise=0.5
+    )
+    ms.keyframes.append(
+        Keyframe(
+            id=2,
+            frame_id=2,
+            timestamp=2.0,
+            pose=se3_exp(0.5 * SECOND_TWIST).compose(poses[1]),
+        )
+    )
+    points = ms.lm_pos.copy()
+    pose2 = ms.keyframes[2].pose
+    ms.add_observations(2, np.arange(12), project(K, points @ pose2.R.T + pose2.t))
+    problem = _BAProblem(ms, [0, 1, 2], config)
+    assert problem.nw_active and len(problem.free_ids) == 2
+    Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
+    P, Lb = Hpp.shape[0], Hll.shape[0]
+    H = np.zeros((6 * P + 3 * Lb, 6 * P + 3 * Lb))
+    for p in range(P):
+        H[6 * p : 6 * p + 6, 6 * p : 6 * p + 6] = Hpp[p]
+    for lm in range(Lb):
+        at = 6 * P + 3 * lm
+        H[at : at + 3, at : at + 3] = Hll[lm]
+    H[: 6 * P, 6 * P :] = W
+    H[6 * P :, : 6 * P] = W.T
+    g = np.concatenate([gp.ravel(), gl.ravel()])
+
+    for lam in (0.0, 0.5, 30.0):
+        dp, dl = _ba_solve(Hpp, gp, Hll, gl, W, lam)
+        dense = np.linalg.solve(H + lam * np.diag(np.diag(H)), -g)
+        atol = 1e-9 * np.max(np.abs(dense))
+        np.testing.assert_allclose(dp.ravel(), dense[: 6 * P], rtol=0, atol=atol)
+        np.testing.assert_allclose(dl.ravel(), dense[6 * P :], rtol=0, atol=atol)
 
 
 def test_ba_perfect_map_is_a_fixed_point():
@@ -544,7 +689,7 @@ def test_ba_perfect_map_is_a_fixed_point():
     np.testing.assert_array_equal(ms.keyframes[1].pose.R, poses[1].R)
     np.testing.assert_array_equal(ms.keyframes[1].pose.t, poses[1].t)
     for i in range(40):
-        np.testing.assert_array_equal(ms.landmarks[i].position, points[i])
+        np.testing.assert_array_equal(position(ms, i), points[i])
 
 
 def test_ba_landmark_only_recovery_with_all_poses_fixed():
@@ -552,8 +697,8 @@ def test_ba_landmark_only_recovery_with_all_poses_fixed():
     ms, points, _ = two_keyframe_map(config, n=40, seed=12)
     ms.keyframes[1].fixed = True
     rng = np.random.default_rng(13)
-    for lm in ms.landmarks.values():
-        lm.position = lm.position + rng.uniform(-0.008, 0.008, 3)
+    for i in range(40):
+        ms.lm_pos[landmark_row(ms, i)] += rng.uniform(-0.008, 0.008, 3)
 
     report = local_bundle_adjustment(ms, 1, config)
 
@@ -561,9 +706,7 @@ def test_ba_landmark_only_recovery_with_all_poses_fixed():
     assert report.removed_observations == 0
     assert report.cost_final <= 1e-12
     for i in range(40):
-        np.testing.assert_allclose(
-            ms.landmarks[i].position, points[i], rtol=0, atol=1e-6
-        )
+        np.testing.assert_allclose(position(ms, i), points[i], rtol=0, atol=1e-6)
 
 
 def test_ba_pose_recovery_keeps_gauge_anchor_untouched():
@@ -632,9 +775,9 @@ def reference_map_cost(map_state, config):
     for kf_id in kf_ids:
         kf = map_state.keyframes[kf_id]
         for obs_id in np.flatnonzero(map_state.obs_kf == kf_id):
-            lm = map_state.landmarks[int(map_state.obs_lm[obs_id])]
+            p = position(map_state, int(map_state.obs_lm[obs_id]))
             r = (
-                project(K, transform_point(kf.pose, lm.position))
+                project(K, transform_point(kf.pose, p))
                 - map_state.obs_uvu[obs_id]
             ) * inv_sigma
             total += float(huber(np.linalg.norm(r), config.loss.huber_delta_repro)[0])
@@ -679,7 +822,7 @@ def test_ba_vectorized_cost_matches_reference_loop():
     rng = np.random.default_rng(23)
     pose2 = se3_exp(np.array([0.05, 0.0, 0.01, 0.0, 0.01, 0.0])).compose(poses[1])
     ids = np.arange(30)
-    points = np.array([ms.landmarks[i].position for i in ids])
+    points = np.array([position(ms, i) for i in ids])
     meas = project(K, points @ pose2.R.T + pose2.t) + rng.normal(0.0, 0.7, (30, 3))
     meas[:3] += np.array([25.0, 15.0, 25.0])
     normal = unit(pose2.R @ ms.world_normal + np.array([0.02, -0.01, 0.0]))
@@ -698,8 +841,7 @@ def test_ba_vectorized_cost_matches_reference_loop():
             basis=make_tangent_basis(normal),
         )
     )
-    for i in ids:
-        solo.landmarks[int(i)] = Landmark(id=int(i), position=points[i])
+    solo.add_landmarks(ids, points)
     solo.add_observations(0, ids, meas)
     assert result.cost == pytest.approx(reference_map_cost(solo, config), rel=1e-12)
 
@@ -711,7 +853,7 @@ def test_map_cost_of_a_map_without_observations_is_its_normal_terms():
         poses[1]
     )
     ms.remove_observations(ms.observations)
-    assert not ms.landmarks
+    assert ms.landmarks.size == 0
 
     cost = map_cost(ms, config)
 
@@ -726,7 +868,7 @@ def behind_camera_map(config):
     ms, _, poses = two_keyframe_map(config, n=40, seed=22)
     p = np.array([10.0, 0.0, 0.2])
     assert p[2] > 0.0 > (poses[1].R @ p + poses[1].t)[2]
-    ms.landmarks[0].position = p
+    ms.lm_pos[landmark_row(ms, 0)] = p
     ms.obs_uvu[obs_row(ms, 0, 0)] = project(K, p)
     return ms, obs_row(ms, 1, 0)
 
@@ -818,6 +960,21 @@ def test_ba_refines_world_normal_while_active():
 
 
 # --- full sequence runs ----------------------------------------------------------
+
+
+def test_run_builds_each_frame_tangent_basis_once(monkeypatch):
+    seq = generate_sequence(small_scene(trajectory_length=2.0))
+    built = []
+
+    def counting(normal):
+        built.append(normal)
+        return make_tangent_basis(normal)
+
+    monkeypatch.setattr(estimator, "make_tangent_basis", counting)
+    result = run_sequence(seq.frames, seq.intrinsics, SolverConfig())
+
+    assert sum(r.keyframe_id is not None for r in result.records) >= 2
+    assert 0 < len(built) <= len(seq.frames)
 
 
 def small_scene(**overrides):
@@ -963,8 +1120,9 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     doomed_lms = [lm for lm in ms.landmarks if lm % 3]
     doomed = np.flatnonzero(np.isin(ms.obs_lm, doomed_lms) & (ms.obs_kf >= 0))
     uncompacted.obs_kf[doomed] = -1
-    for lm in doomed_lms:
-        del uncompacted.landmarks[lm]
+    kept = ~np.isin(uncompacted.landmarks, doomed_lms)
+    for name in ("landmarks", "lm_pos", "lm_misses", "lm_nobs"):
+        setattr(uncompacted, name, getattr(uncompacted, name)[kept])
     live = uncompacted.obs_kf >= 0
     assert 2 * np.count_nonzero(live) < live.size
 
@@ -981,10 +1139,8 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     assert report == local_bundle_adjustment(uncompacted, last, config)
     for a, b in zip(ms.keyframes, uncompacted.keyframes):
         np.testing.assert_array_equal(a.pose.matrix(), b.pose.matrix())
-    for lm, landmark in ms.landmarks.items():
-        np.testing.assert_array_equal(
-            landmark.position, uncompacted.landmarks[lm].position
-        )
+    np.testing.assert_array_equal(ms.landmarks, uncompacted.landmarks)
+    np.testing.assert_array_equal(ms.lm_pos, uncompacted.lm_pos)
     assert_map_consistent(ms)
 
 

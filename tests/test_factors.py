@@ -69,6 +69,8 @@ def test_basis_deterministic():
 def test_basis_rejects_non_unit_input():
     with pytest.raises(ValueError):
         make_tangent_basis(np.array([0.0, 0.0, -2.0]))
+    with pytest.raises(ValueError):
+        make_tangent_basis(np.array([np.nan, 0.0, -1.0]))
 
 
 # --- normal residual -------------------------------------------------------
