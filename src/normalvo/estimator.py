@@ -29,6 +29,7 @@ from .factors import (
     normal_jacobian,
     normal_residual,
     reprojection_jacobians,
+    reprojection_pose_jacobian,
 )
 from .geometry import (
     Intrinsics,
@@ -338,35 +339,35 @@ class _Evaluation:
     cost: float  # Huber total, inf when any point is behind its camera
 
 
-def _evaluate(
-    K, config, R, t, points, obs_pose, obs_point, measured, normals=None, n_w=None
-) -> _Evaluation:
-    """The robust objective at stacked world-to-camera poses ``(R, t)``.
+def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
+    """The robust objective at camera-frame points ``pc`` (M, 3).
 
-    Reprojection row i is landmark ``points[obs_point[i]]`` seen from pose
-    ``obs_pose[i]`` and measured as ``measured[i]``; a row behind its camera
-    gets infinite residuals, so it costs inf and weighs 0. ``normals``, a
-    triple (pose rows, tangent bases, frame normals), adds the weighted
-    tangent-plane factors of those poses against the world normal ``n_w``.
+    Reprojection row i is ``pc[i]`` measured as ``measured[i]``; a row
+    behind its camera gets infinite residuals, so it costs inf and weighs 0.
+    ``normals``, a triple (world-to-camera rotations, tangent bases, frame
+    normals) of the keyframes or frame that measured one, adds their
+    weighted tangent-plane factors against the world normal ``n_w``.
     """
-    pc = np.einsum("nij,nj->ni", R[obs_pose], points[obs_point]) + t[obs_pose]
-    # rows behind the camera project a stand-in point, then read inf
     front = pc[:, 2] > 0.0
-    r = (project(K, np.where(front[:, None], pc, 1.0)) - measured) / config.sigma_px
-    r[~front] = np.inf
+    behind = not front.all()
+    # rows behind the camera project a stand-in point, then read inf
+    shown = np.where(front[:, None], pc, 1.0) if behind else pc
+    r = (project(K, shown) - measured) / config.sigma_px
+    if behind:
+        r[~front] = np.inf
     sq = np.einsum("ij,ij->i", r, r)
     rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
-    cost = float(np.sum(rho))
+    cost = float(rho.sum())
     rn, wn = np.zeros((0, 2)), np.zeros(0)
     if normals is not None:
-        rows, basis, frame_normals = normals
+        rotations, basis, frame_normals = normals
         rn = math.sqrt(config.loss.normal_weight) * normal_residual(
-            basis, R[rows], n_w, frame_normals
+            basis, rotations, n_w, frame_normals
         )
         rho_n, wn = huber(
             np.sqrt(np.einsum("ij,ij->i", rn, rn)), config.loss.huber_delta_normal
         )
-        cost += float(np.sum(rho_n))
+        cost += float(rho_n.sum())
     return _Evaluation(pc=pc, r=r, sq=sq, w=w, rn=rn, wn=wn, cost=cost)
 
 
@@ -396,36 +397,38 @@ def track_frame(
             f"need {config.min_track_observations}",
         )
     points = map_state.lm_pos[lm_rows[mask]]
-    rows = np.zeros(matched_ids.size, dtype=int)
+    measured = frame.measurements[mask]
     n_w = map_state.world_normal
-    normals = None
-    if (
+    use_normal = (
         config.normal_in_tracking
         and config.loss.normal_weight > 0.0
         and n_w is not None
         and frame.frame_normal is not None
-    ):
+    )
+    if use_normal:
         basis = frame.tangent_basis
-        normals = (rows[:1], basis[None], frame.frame_normal[None])
-    terms = (points, rows, np.arange(rows.size), frame.measurements[mask], normals, n_w)
+        frame_normals = (basis[None], frame.frame_normal[None])
 
-    # the pose is held as a one-row stack (1, 3, 3), (1, 3) while it is solved
+    def evaluate(R, t) -> _Evaluation:
+        normals = (R[None], *frame_normals) if use_normal else None
+        return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
+
+    # the pose is held as one (3, 3), (3,) pair while it is solved
     init = constant_velocity_init(prev_pose, prev_prev_pose)
-    R, t = init.R[None], init.t[None]
-    ev = _evaluate(K, config, R, t, *terms)
+    R, t = init.R, init.t
+    ev = evaluate(R, t)
     if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
 
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        Jp, _ = reprojection_jacobians(K, (R[0], t[0]), points, pc=ev.pc)
-        Jp = Jp.reshape(-1, 6) / config.sigma_px
+        Jp = reprojection_pose_jacobian(K, ev.pc).reshape(-1, 6) / config.sigma_px
         wJp = np.repeat(ev.w, 3)[:, None] * Jp
         H = Jp.T @ wJp
         g = wJp.T @ ev.r.ravel()
-        if normals is not None:
+        if use_normal:
             J_phi = math.sqrt(config.loss.normal_weight) * normal_jacobian(
-                basis, R[0], n_w
+                basis, R, n_w
             )[0]
             H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
             g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
@@ -433,7 +436,7 @@ def track_frame(
         accepted = False
         converged = False
         while lam <= config.damping_ceiling:
-            damped = H + lam * np.diag(np.diag(H))
+            damped = H + np.diag(lam * H.diagonal())
             try:
                 step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
@@ -445,11 +448,11 @@ def track_frame(
             if np.linalg.norm(step) < config.step_tolerance:
                 converged = True
                 break
-            new_R, new_t = update_poses(step[None], R, t)
-            new_ev = _evaluate(K, config, new_R, new_t, *terms)
+            new_R, new_t = update_poses(step[None], R[None], t[None])
+            new_ev = evaluate(new_R[0], new_t[0])
             if new_ev.cost < ev.cost:
                 rel = (ev.cost - new_ev.cost) / max(ev.cost, 1e-300)
-                R, t, ev = new_R, new_t, new_ev
+                R, t, ev = new_R[0], new_t[0], new_ev
                 lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
                 accepted = True
                 converged = rel < config.cost_tolerance
@@ -478,7 +481,7 @@ def track_frame(
         ev.cost,
     )
     return TrackResult(
-        pose=PoseSE3(R[0], t[0]),
+        pose=PoseSE3(R, t),
         inlier_ids=matched_ids[inlier_mask],
         outlier_ids=matched_ids[~inlier_mask],
         matched=int(matched_ids.size),
@@ -675,17 +678,16 @@ class _BAProblem:
         self.ev = self.evaluate(self.R, self.t, self.points, self.n_w)
 
     def evaluate(self, R, t, points, n_w) -> _Evaluation:
+        """The objective at stacked poses ``(R, t)``, landmark ``points`` and
+        world normal ``n_w``; each observation gathers its own pose."""
+        rows = self.obs_pose
+        pc = np.einsum("nij,nj->ni", R[rows], points[self.obs_lm]) + t[rows]
+        normals = None
+        if self.normals is not None:
+            normal_rows, basis, frame_normals = self.normals
+            normals = (R[normal_rows], basis, frame_normals)
         return _evaluate(
-            self.map.intrinsics,
-            self.config,
-            R,
-            t,
-            points,
-            self.obs_pose,
-            self.obs_lm,
-            self.obs_uvu,
-            self.normals,
-            n_w,
+            self.map.intrinsics, self.config, pc, self.obs_uvu, normals, n_w
         )
 
     def write_back(self):

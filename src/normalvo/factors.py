@@ -92,18 +92,35 @@ def reprojection_residual(
     return project(K, pc) - np.asarray(measured, dtype=float)
 
 
-def _pixel_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
-    """d pi / d p_c for camera-frame points pc (N, 3) -> (N, 3, 3)."""
+def reprojection_pose_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
+    """Jacobian (N, 3, 6) of the reprojection residual with respect to the
+    pose twist, at camera-frame points ``pc`` (N, 3) in front of the camera.
+
+    Under the left-multiplicative update the camera-frame point moves as
+    p_c + rho + phi x p_c, so J = Jpi @ [I | -skew(p_c)] with
+    Jpi = d pi / d p_c. Its entries are written out here in the normalized
+    coordinates u = x/z, v = y/z of the left camera and u_r = (x - b)/z of
+    the right one; the first three columns are Jpi itself.
+    """
     x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
     inv_z = 1.0 / z
-    inv_z2 = inv_z * inv_z
-    J = np.zeros((pc.shape[0], 3, 3))
-    J[:, 0, 0] = K.fx * inv_z
-    J[:, 0, 2] = -K.fx * x * inv_z2
-    J[:, 1, 1] = K.fy * inv_z
-    J[:, 1, 2] = -K.fy * y * inv_z2
-    J[:, 2, 0] = K.fx * inv_z
-    J[:, 2, 2] = -K.fx * (x - K.b) * inv_z2
+    u, v, u_r = x * inv_z, y * inv_z, (x - K.b) * inv_z
+    fx_z, fy_z = K.fx * inv_z, K.fy * inv_z
+    fx_v = K.fx * v
+    J = np.zeros((pc.shape[0], 3, 6))
+    J[:, 0, 0] = J[:, 2, 0] = fx_z
+    J[:, 1, 1] = fy_z
+    J[:, 0, 2] = -fx_z * u
+    J[:, 1, 2] = -fy_z * v
+    J[:, 2, 2] = -fx_z * u_r
+    J[:, 0, 3] = -fx_v * u
+    J[:, 1, 3] = -K.fy * (1.0 + v * v)
+    J[:, 2, 3] = -fx_v * u_r
+    J[:, 0, 4] = K.fx * (1.0 + u * u)
+    J[:, 1, 4] = K.fy * (u * v)
+    J[:, 2, 4] = K.fx * (1.0 + u_r * u)
+    J[:, 0, 5] = J[:, 2, 5] = -fx_v
+    J[:, 1, 5] = K.fy * u
     return J
 
 
@@ -114,9 +131,8 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     (N,3,6) and (N,3,3) for a batch. ``pose`` is a PoseSE3 or an ``(R, t)``
     pair whose arrays may hold one pose per point, (N,3,3) and (N,3); ``pc``
     passes the camera-frame points when the caller has them already.
-    J_pose columns follow the twist order (rho, phi); under the
-    left-multiplicative update the camera-frame point moves as
-    p_c + rho + phi x p_c, so J_pose = Jpi @ [I | -skew(p_c)].
+    J_pose is :func:`reprojection_pose_jacobian`, columns in the twist
+    order (rho, phi); J_point = Jpi @ R, with Jpi its first three columns.
     """
     point = np.asarray(point, dtype=float)
     single = point.ndim == 1
@@ -126,9 +142,8 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     pc = np.atleast_2d(pc)
     if np.any(pc[:, 2] <= 0.0):
         raise NonPositiveDepth("point behind camera while linearizing")
-    Jpi = _pixel_jacobian(K, pc)
-    J_pose = np.concatenate([Jpi, -(Jpi @ skew(pc))], axis=2)
-    J_point = Jpi @ R
+    J_pose = reprojection_pose_jacobian(K, pc)
+    J_point = J_pose[:, :, :3] @ R
     if single:
         return J_pose[0], J_point[0]
     return J_pose, J_point

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -165,38 +166,40 @@ def _left_jacobian(phi: np.ndarray) -> np.ndarray:
     return _exp_and_left_jacobian(phi)[1]
 
 
-def _exp_and_left_jacobian(phi: np.ndarray):
-    """``exp(phi) = I + a W + b W^2`` and ``V(phi) = I + b' W + c W^2`` with
-    ``W = skew(phi)``, for rotation vectors (..., 3), branched per row.
+def _exp_coefficients(a2: float):
+    """Coefficients ``(a, b, b_v, c)`` of ``exp(phi) = I + a W + b W^2`` and
+    ``V(phi) = I + b_v W + c W^2``, ``W = skew(phi)``, at ``a2 = |phi|^2``.
 
-    Below SMALL_ANGLE both use their Taylor forms. V's coefficients switch
-    to a truncated series below _SERIES_ANGLE, where the closed forms lose
-    digits to cancellation (error ~ eps/angle^2).
+    Below SMALL_ANGLE exp uses its Taylor form. V's coefficients switch to a
+    truncated series below _SERIES_ANGLE, where the closed forms lose digits
+    to cancellation (error ~ eps/angle^2).
     """
+    angle = math.sqrt(a2)
+    if angle < SMALL_ANGLE:
+        a, b = 1.0, 0.5
+    else:
+        sin = math.sin(angle)
+        half_sin = math.sin(0.5 * angle)
+        a = sin / angle
+        b = 2.0 * half_sin * half_sin / (angle * angle)
+    if angle < _SERIES_ANGLE:
+        b_v = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
+        c = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
+        return a, b, b_v, c
+    return a, b, b, (angle - sin) / (angle * angle * angle)
+
+
+def _exp_and_left_jacobian(phi: np.ndarray):
+    """``exp(phi)`` and ``V(phi)`` for rotation vectors (..., 3), each row
+    on its own branch of :func:`_exp_coefficients`."""
     phi = np.asarray(phi, dtype=float)
     shape = phi.shape[:-1] + (3, 3)
     phi = phi.reshape(-1, 3)
     w = skew(phi)
     ww = w @ w
-    a2 = np.einsum("ij,ij->i", phi, phi)
-    angle = np.sqrt(a2)
-    small = angle < SMALL_ANGLE
-    series = angle < _SERIES_ANGLE
-    safe = angle.copy()
-    safe[small] = 1.0
-    sin = np.sin(safe)
-    half_sin = np.sin(0.5 * safe)
-    a = sin / safe
-    a[small] = 1.0
-    b = 2.0 * half_sin * half_sin / (safe * safe)
-    b[small] = 0.5
-    b_v = b.copy()
-    c = (safe - sin) / (safe * safe * safe)
-    if series.any():
-        a2 = a2[series]
-        b_v[series] = 0.5 - a2 / 24.0 + a2 * a2 / 720.0
-        c[series] = 1.0 / 6.0 - a2 / 120.0 + a2 * a2 / 5040.0
-    a, b, b_v, c = (x[:, None, None] for x in (a, b, b_v, c))
+    a2 = np.einsum("ij,ij->i", phi, phi).tolist()
+    coef = np.array([_exp_coefficients(x) for x in a2]).reshape(-1, 4, 1, 1)
+    a, b, b_v, c = coef[:, 0], coef[:, 1], coef[:, 2], coef[:, 3]
     R = _I3 + a * w + b * ww
     V = _I3 + b_v * w + c * ww
     return R.reshape(shape), V.reshape(shape)
@@ -255,12 +258,31 @@ def update_poses(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
     ``R <- 1.5 R - 0.5 R R^T R``, which pulls an orthonormality error e to
     about e^2, so drift from repeated float multiplications cannot
     accumulate across long update chains. The arrays are returned
-    unvalidated; wrap a row in PoseSE3 where it leaves the solver.
+    unvalidated; wrap a row in PoseSE3 where it leaves the solver. A single
+    pose (P = 1, tracking's case) is updated on its 3x3 blocks directly.
     """
-    step_R, step_t = _se3_exp_rows(np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[0] == 1:
+        R, t = _update_pose(xi[0], R[0], t[0])
+        return R[None], t[None]
+    step_R, step_t = _se3_exp_rows(xi)
     R = step_R @ R
     t = (step_R @ t[:, :, None])[:, :, 0] + step_t
     return 1.5 * R - 0.5 * (R @ (np.swapaxes(R, 1, 2) @ R)), t
+
+
+def _update_pose(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
+    """The one-pose case of :func:`update_poses`: twist (6,), rotation (3, 3),
+    translation (3,), with exp and V built from their coefficients."""
+    phi = xi[3:]
+    # the batched path's einsum, so that a row sums its squares alike
+    a, b, b_v, c = _exp_coefficients(float(np.einsum("i,i", phi, phi)))
+    w = skew(phi)
+    ww = w @ w
+    step_R = _I3 + a * w + b * ww
+    R = step_R @ R
+    t = step_R @ t + (_I3 + b_v * w + c * ww) @ xi[:3]
+    return 1.5 * R - 0.5 * (R @ (R.T @ R)), t
 
 
 def apply_update(xi: np.ndarray, pose: PoseSE3) -> PoseSE3:
@@ -278,7 +300,7 @@ def project(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     """
     pc = np.asarray(pc, dtype=float)
     x, y, z = pc[..., 0], pc[..., 1], pc[..., 2]
-    if np.any(z <= 0.0):
+    if (z <= 0.0).any():
         raise NonPositiveDepth(f"depth must be positive, got min Z = {z.min()!r}")
     out = np.empty(pc.shape)
     out[..., 0] = K.fx * x / z + K.cx

@@ -4,6 +4,7 @@ import copy
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from normalvo.factors import (
     RobustLossConfig,
     huber,
     make_tangent_basis,
+    normal_jacobian,
     normal_residual,
+    reprojection_jacobians,
 )
 from normalvo.geometry import (
     Intrinsics,
@@ -44,6 +47,7 @@ from normalvo.geometry import (
     se3_exp,
     so3_exp,
     transform_point,
+    update_poses,
 )
 from normalvo.simulator import SceneConfig, generate_sequence
 
@@ -423,6 +427,192 @@ def test_track_tolerates_missing_frame_normal():
     frame = frame_at(w2c, points)  # no frame normal attached
     result = track_frame(ms, frame, config, prev_pose=w2c)
     np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-8)
+
+
+def reference_track_frame(map_state, frame, config, prev_pose, prev_prev_pose):
+    """Tracking as the package computed it while it held its pose as a
+    one-row stack: every evaluation gathers the pose once per point, the
+    pose Jacobian comes from reprojection_jacobians (its point Jacobian
+    discarded), and the pose is updated as a (1, 3, 3), (1, 3) stack.
+    Returns (pose, inlier ids, outlier ids, cost) or raises TrackingLost."""
+    Kc = map_state.intrinsics
+    lm_rows = map_state.landmark_rows(frame.landmark_ids)
+    mask = lm_rows >= 0
+    matched_ids = frame.landmark_ids[mask]
+    if matched_ids.size < config.min_track_observations:
+        raise TrackingLost(frame.frame_id, "too few mapped observations")
+    points = map_state.lm_pos[lm_rows[mask]]
+    measured = frame.measurements[mask]
+    rows = np.zeros(matched_ids.size, dtype=int)
+    n_w = map_state.world_normal
+    sqrt_lam = math.sqrt(config.loss.normal_weight)
+    use_normal = (
+        config.normal_in_tracking
+        and config.loss.normal_weight > 0.0
+        and n_w is not None
+        and frame.frame_normal is not None
+    )
+
+    def evaluate(R, t):
+        pc = np.einsum("nij,nj->ni", R[rows], points) + t[rows]
+        front = pc[:, 2] > 0.0
+        r = (project(Kc, np.where(front[:, None], pc, 1.0)) - measured) / config.sigma_px
+        r[~front] = np.inf
+        sq = np.einsum("ij,ij->i", r, r)
+        rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
+        cost = float(np.sum(rho))
+        rn = wn = None
+        if use_normal:
+            rn = sqrt_lam * normal_residual(
+                frame.tangent_basis[None], R[rows[:1]], n_w, frame.frame_normal[None]
+            )
+            rho_n, wn = huber(
+                np.sqrt(np.einsum("ij,ij->i", rn, rn)), config.loss.huber_delta_normal
+            )
+            cost += float(np.sum(rho_n))
+        return pc, r, sq, w, rn, wn, cost
+
+    init = constant_velocity_init(prev_pose, prev_prev_pose)
+    R, t = init.R[None], init.t[None]
+    pc, r, sq, w, rn, wn, cost = evaluate(R, t)
+    if not np.isfinite(cost):
+        raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
+    lam = config.initial_damping
+    for _ in range(config.max_iterations):
+        Jp, _ = reprojection_jacobians(Kc, (R[0], t[0]), points, pc=pc)
+        Jp = Jp.reshape(-1, 6) / config.sigma_px
+        wJp = np.repeat(w, 3)[:, None] * Jp
+        H = Jp.T @ wJp
+        g = wJp.T @ r.ravel()
+        if use_normal:
+            J_phi = sqrt_lam * normal_jacobian(frame.tangent_basis, R[0], n_w)[0]
+            H[3:, 3:] += wn[0] * J_phi.T @ J_phi
+            g[3:] += wn[0] * J_phi.T @ rn[0]
+        accepted = converged = False
+        while lam <= config.damping_ceiling:
+            damped = H + lam * np.diag(np.diag(H))
+            try:
+                step = np.linalg.solve(damped, -g)
+            except np.linalg.LinAlgError:
+                lam *= config.damping_increase
+                continue
+            if not np.all(np.isfinite(step)):
+                lam *= config.damping_increase
+                continue
+            if np.linalg.norm(step) < config.step_tolerance:
+                converged = True
+                break
+            new_R, new_t = update_poses(step[None], R, t)
+            trial = evaluate(new_R, new_t)
+            if trial[-1] < cost:
+                rel = (cost - trial[-1]) / max(cost, 1e-300)
+                R, t = new_R, new_t
+                pc, r, sq, w, rn, wn, cost = trial
+                lam = max(lam / config.damping_decrease, 1e-12)
+                accepted = True
+                converged = rel < config.cost_tolerance
+                break
+            lam *= config.damping_increase
+        if converged or not accepted:
+            break
+    inliers = sq <= config.chi2_threshold
+    n_inliers = int(np.count_nonzero(inliers))
+    if n_inliers < max(
+        config.min_track_observations, config.min_inlier_fraction * matched_ids.size
+    ):
+        raise TrackingLost(frame.frame_id, "too few inliers")
+    return PoseSE3(R[0], t[0]), matched_ids[inliers], matched_ids[~inliers], cost
+
+
+def test_track_frame_matches_reference_tracker_on_noisy_strip(monkeypatch):
+    # every tracking attempt of a run over a noisy strip with 20% outliers
+    # and the normal factor on is repeated with the reference tracker
+    seq = generate_sequence(small_scene(outlier_rate=0.2))
+    config = SolverConfig()
+    compared = []
+    original = estimator.track_frame
+
+    def both(map_state, frame, config, prev_pose=None, prev_prev_pose=None):
+        try:
+            expected = reference_track_frame(
+                map_state, frame, config, prev_pose, prev_prev_pose
+            )
+        except TrackingLost:
+            expected = None
+        try:
+            result = original(map_state, frame, config, prev_pose, prev_prev_pose)
+        except TrackingLost:
+            assert expected is None
+            raise
+        assert expected is not None
+        pose, inlier_ids, outlier_ids, cost = expected
+        np.testing.assert_array_equal(result.inlier_ids, inlier_ids)
+        np.testing.assert_array_equal(result.outlier_ids, outlier_ids)
+        np.testing.assert_allclose(result.pose.R, pose.R, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.pose.t, pose.t, rtol=0, atol=1e-9)
+        assert result.cost == pytest.approx(cost, rel=1e-12)
+        compared.append((outlier_ids.size, frame.frame_normal is not None))
+        return result
+
+    monkeypatch.setattr(estimator, "track_frame", both)
+    run_sequence(seq.frames, seq.intrinsics, config)
+
+    assert len(compared) == len(seq.frames) - 1
+    assert sum(n for n, _ in compared) >= len(compared)  # outliers were met
+    assert all(has_normal for _, has_normal in compared)
+
+
+def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
+    """A landmark 0.5 m ahead of the start pose and a camera whose true pose
+    is 1 m further forward: the first, nearly undamped, step carries the
+    camera past the landmark. That trial must cost inf and raise the
+    damping; the solve ends in a pose or in TrackingLost."""
+    config = SolverConfig()
+    rng = np.random.default_rng(41)
+    far = scatter_points(rng, 30) + np.array([0.0, 0.0, 4.0])
+    close = np.array([[0.1, 0.05, 0.5]])
+    ms = landmark_map(np.vstack([far, close]), config)
+    true = PoseSE3(np.eye(3), np.array([0.0, 0.0, -1.0]))  # camera at z = 1 m
+    meas = np.vstack(
+        [
+            project(K, far @ true.R.T + true.t),
+            # measured as a gross outlier, so Huber all but ignores it
+            project(K, close) + np.array([300.0, 200.0, 300.0]),
+        ]
+    )
+    frame = FrameData(1, 1.0, np.arange(31), meas)
+
+    costs, damped = [], []
+    original_evaluate = estimator._evaluate
+    original_solve = np.linalg.solve
+
+    def recording_evaluate(*args, **kwargs):
+        ev = original_evaluate(*args, **kwargs)
+        costs.append(ev.cost)
+        return ev
+
+    def recording_solve(a, b):
+        damped.append(np.array(a))
+        return original_solve(a, b)
+
+    monkeypatch.setattr(estimator, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = track_frame(ms, frame, config, prev_pose=PoseSE3.identity())
+        except TrackingLost:
+            result = None
+
+    assert np.isfinite(costs[0])  # the start pose sees every landmark
+    assert costs[1] == np.inf  # the first trial passed the close landmark
+    # the retry solves the same linearization with a larger damping: equal
+    # off-diagonal terms, a larger diagonal
+    off = ~np.eye(6, dtype=bool)
+    np.testing.assert_array_equal(damped[1][off], damped[0][off])
+    assert np.all(np.diag(damped[1]) > np.diag(damped[0]))
+    if result is not None:
+        assert (result.pose.R @ close[0] + result.pose.t)[2] > 0.0
 
 
 # --- landmark culling ---------------------------------------------------------

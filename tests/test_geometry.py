@@ -166,7 +166,7 @@ def reference_left_jacobian(phi):
 def test_batched_update_matches_scalar_path_on_every_branch():
     # one stack whose rows take every branch of exp and V: zero, the
     # second-order Taylor form, V's series, either side of the series
-    # cutoff 1e-2, and the closed forms up to near pi
+    # cutoff 1e-2, and the closed forms up to near pi; then each row alone
     rng = np.random.default_rng(31)
     angles = np.array([0.0, 1e-9, 5e-3, 1e-2 - 1e-9, 1e-2 + 1e-9, 0.5, 3.0])
     axes = rng.normal(size=(angles.size, 3))
@@ -191,6 +191,10 @@ def test_batched_update_matches_scalar_path_on_every_branch():
         expected_t = step_R @ t[i] + step_t
         np.testing.assert_allclose(new_R[i], expected_R, rtol=0, atol=1e-12)
         np.testing.assert_allclose(new_t[i], expected_t, rtol=0, atol=1e-12)
+        # a one-row stack takes the one-pose path that tracking runs
+        one_R, one_t = update_poses(xi[i : i + 1], R[i : i + 1], t[i : i + 1])
+        np.testing.assert_allclose(one_R[0], expected_R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(one_t[0], expected_t, rtol=0, atol=1e-12)
         # the one-pose forms are rows of the same kernel
         step = se3_exp(xi[i])
         np.testing.assert_allclose(step.R, step_R, rtol=0, atol=1e-12)
