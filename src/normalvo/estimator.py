@@ -407,10 +407,10 @@ def track_frame(
     )
     if use_normal:
         basis = frame.tangent_basis
-        frame_normals = (basis[None], frame.frame_normal[None])
+        normal_terms = (basis[None], frame.frame_normal[None])
 
     def evaluate(R, t) -> _Evaluation:
-        normals = (R[None], *frame_normals) if use_normal else None
+        normals = (R[None], *normal_terms) if use_normal else None
         return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
 
     # the pose is held as one (3, 3), (3,) pair while it is solved
