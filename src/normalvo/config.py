@@ -75,7 +75,8 @@ _REGISTRY = (
     _Entry("step_tolerance", "solver", "float",
            "converged when the update norm drops below this"),
     _Entry("cost_tolerance", "solver", "float",
-           "converged when the relative cost drop falls below this"),
+           "converged when the model-predicted or the accepted relative "
+           "cost drop falls below this"),
     _Entry("chi2_threshold", "solver", "float",
            "squared whitened residual gate (3-dof 95% quantile)"),
     _Entry("sigma_px", "solver", "float",

@@ -27,6 +27,7 @@ from .factors import (
     huber,
     make_tangent_basis,
     normal_jacobian,
+    normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
     reprojection_pose_jacobian,
@@ -69,7 +70,7 @@ class SolverConfig:
     damping_decrease: float = 10.0
     damping_ceiling: float = 1e10
     step_tolerance: float = 1e-8
-    cost_tolerance: float = 1e-10
+    cost_tolerance: float = 1e-5
     chi2_threshold: float = CHI2_95_3DOF
     sigma_px: float = 1.0
     min_disparity: float = 0.5
@@ -371,6 +372,15 @@ def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
     return _Evaluation(pc=pc, r=r, sq=sq, w=w, rn=rn, wn=wn, cost=cost)
 
 
+def _predicted_decrease(g, d, h, lam) -> float:
+    """Decrease of the robust cost that the Gauss-Newton model predicts for
+    a step ``h`` solving ``(H + lam D) h = -g``, where ``d`` is the diagonal
+    of ``D = diag(H)``: ``lam h^T D h - g^T h``, which equals the model's
+    ``-2 g^T h - h^T H h`` (the cost is a sum of squares, so its gradient
+    is ``2 g`` and its Gauss-Newton Hessian ``2 H``)."""
+    return float(lam * ((h * d) @ h) - g @ h)
+
+
 def track_frame(
     map_state: MapState,
     frame: FrameData,
@@ -383,6 +393,10 @@ def track_frame(
     Minimizes the robust sum of whitened reprojection residuals over the
     mapped subset of the frame's observations, plus the weighted normal
     residual when a world normal and a frame normal are both available.
+    The solve stops once the decrease that the damped model predicts for
+    the next step (:func:`_predicted_decrease`), or the decrease an accepted
+    step achieved, falls below ``cost_tolerance`` times the cost; bundle
+    adjustment stops the same way.
     Raises TrackingLost when fewer than the minimum observations match or
     when the post-fit inlier fraction falls below the configured floor.
     """
@@ -427,16 +441,17 @@ def track_frame(
         H = Jp.T @ wJp
         g = wJp.T @ ev.r.ravel()
         if use_normal:
-            J_phi = math.sqrt(config.loss.normal_weight) * normal_jacobian(
+            J_phi = math.sqrt(config.loss.normal_weight) * normal_pose_jacobian(
                 basis, R, n_w
-            )[0]
+            )
             H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
             g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
 
         accepted = False
         converged = False
+        d = H.diagonal()
         while lam <= config.damping_ceiling:
-            damped = H + np.diag(lam * H.diagonal())
+            damped = H + np.diag(lam * d)
             try:
                 step = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
@@ -446,6 +461,9 @@ def track_frame(
                 lam *= config.damping_increase
                 continue
             if np.linalg.norm(step) < config.step_tolerance:
+                converged = True
+                break
+            if _predicted_decrease(g, d, step, lam) < config.cost_tolerance * ev.cost:
                 converged = True
                 break
             new_R, new_t = update_poses(step[None], R[None], t[None])
@@ -861,6 +879,13 @@ def local_bundle_adjustment(
     while iterations < config.max_iterations:
         iterations += 1
         Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
+        g = np.concatenate([gp.ravel(), gl.ravel()])
+        d = np.concatenate(
+            [
+                Hpp.diagonal(axis1=1, axis2=2).ravel(),
+                Hll.diagonal(axis1=1, axis2=2).ravel(),
+            ]
+        )
 
         step_accepted = False
         converged = False
@@ -873,10 +898,12 @@ def local_bundle_adjustment(
             if not (np.all(np.isfinite(dp)) and np.all(np.isfinite(dl))):
                 lam *= config.damping_increase
                 continue
-            step_norm = math.sqrt(
-                float(np.sum(dp * dp)) + float(np.sum(dl * dl))
-            )
-            if step_norm < config.step_tolerance:
+            h = np.concatenate([dp.ravel(), dl.ravel()])
+            if np.linalg.norm(h) < config.step_tolerance:
+                converged = True
+                break
+            predicted = _predicted_decrease(g, d, h, lam)
+            if predicted < config.cost_tolerance * problem.ev.cost:
                 converged = True
                 break
             # one batched update of every free pose

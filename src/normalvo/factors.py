@@ -149,6 +149,15 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     return J_pose, J_point
 
 
+def _unit_world_normal(world_normal: np.ndarray):
+    """The world normal's direction and norm, rejecting a near-zero one."""
+    n_w = np.asarray(world_normal, dtype=float)
+    norm = math.sqrt(n_w @ n_w)
+    if norm <= 1e-6:
+        raise ValueError("world normal norm must exceed 1e-6")
+    return n_w / norm, norm
+
+
 def normal_residual(
     basis: np.ndarray,
     rotation: np.ndarray,
@@ -162,12 +171,18 @@ def normal_residual(
     world normal. Scale-invariant in the world normal; components of the
     difference along n_k are annihilated by construction of the basis.
     """
-    n_w = np.asarray(world_normal, dtype=float)
-    norm = math.sqrt(n_w @ n_w)
-    if norm <= 1e-6:
-        raise ValueError("world normal norm must exceed 1e-6")
-    d = rotation @ (n_w / norm) - np.asarray(frame_normal, dtype=float)
+    n_hat, _ = _unit_world_normal(world_normal)
+    d = rotation @ n_hat - np.asarray(frame_normal, dtype=float)
     return np.einsum("...ij,...j->...i", basis, d)
+
+
+def normal_pose_jacobian(
+    basis: np.ndarray, rotation: np.ndarray, world_normal: np.ndarray
+) -> np.ndarray:
+    """J_phi of :func:`normal_jacobian` alone, for a solver whose world
+    normal is held fixed; batched the same way."""
+    n_hat, _ = _unit_world_normal(world_normal)
+    return -basis @ skew(rotation @ n_hat)
 
 
 def normal_jacobian(basis: np.ndarray, rotation: np.ndarray, world_normal: np.ndarray):
@@ -179,12 +194,7 @@ def normal_jacobian(basis: np.ndarray, rotation: np.ndarray, world_normal: np.nd
     translational half is identically zero); J_nw differentiates through the
     normalization of the world normal.
     """
-    n_w = np.asarray(world_normal, dtype=float)
-    norm = math.sqrt(n_w @ n_w)
-    if norm <= 1e-6:
-        raise ValueError("world normal norm must exceed 1e-6")
-    n_hat = n_w / norm
-    m = rotation @ n_hat
-    J_phi = -basis @ skew(m)
+    n_hat, norm = _unit_world_normal(world_normal)
+    J_phi = normal_pose_jacobian(basis, rotation, world_normal)
     J_nw = basis @ rotation @ (_I3 - n_hat[:, None] * n_hat) / norm
     return J_phi, J_nw

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from normalvo import estimator
 from normalvo.cli import EXIT_DATA, EXIT_ESTIMATOR, EXIT_OK, EXIT_USAGE, main
 from normalvo.config import parse_config
 from normalvo.dataset import DATASET_FILES, load_trajectory
@@ -179,6 +180,23 @@ def test_run_tracking_loss_exit_code_names_frame(dataset, tmp_path, capsys):
     rc = main(["--quiet", "run", str(d), str(tmp_path / "x.txt")])
     assert rc == EXIT_ESTIMATOR
     assert "tracking lost at frame 1" in capsys.readouterr().err
+
+
+def test_run_bundle_adjustment_at_damping_ceiling_exits_3(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    """A bundle adjustment whose every damped step is non-finite must end
+    the run with exit 3 and a one-line error, not a traceback."""
+    def non_finite(Hpp, gp, Hll, gl, W, lam):
+        return np.full(gp.shape, np.nan), np.full(gl.shape, np.nan)
+
+    monkeypatch.setattr(estimator, "_ba_solve", non_finite)
+    rc = main(["--quiet", "run", str(dataset), str(tmp_path / "x.txt")])
+    assert rc == EXIT_ESTIMATOR
+    err = capsys.readouterr().err
+    assert "damping ceiling" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def _edit_second_line(path, column, edit):

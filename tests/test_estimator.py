@@ -15,12 +15,14 @@ from normalvo.estimator import (
     Keyframe,
     MapState,
     SolverConfig,
+    SolverDiverged,
     TrackingLost,
     TrackResult,
     _ba_assemble,
     _ba_linearize,
     _ba_solve,
     _BAProblem,
+    _predicted_decrease,
     constant_velocity_init,
     cull_landmarks,
     insert_keyframe,
@@ -433,7 +435,9 @@ def reference_track_frame(map_state, frame, config, prev_pose, prev_prev_pose):
     """Tracking as the package computed it while it held its pose as a
     one-row stack: every evaluation gathers the pose once per point, the
     pose Jacobian comes from reprojection_jacobians (its point Jacobian
-    discarded), and the pose is updated as a (1, 3, 3), (1, 3) stack.
+    discarded), and the pose is updated as a (1, 3, 3), (1, 3) stack. It
+    stops before a trial step whose model decrease -2 g^T h - h^T H h falls
+    below cost_tolerance times the cost.
     Returns (pose, inlier ids, outlier ids, cost) or raises TrackingLost."""
     Kc = map_state.intrinsics
     lm_rows = map_state.landmark_rows(frame.landmark_ids)
@@ -500,6 +504,9 @@ def reference_track_frame(map_state, frame, config, prev_pose, prev_prev_pose):
                 lam *= config.damping_increase
                 continue
             if np.linalg.norm(step) < config.step_tolerance:
+                converged = True
+                break
+            if -2.0 * g @ step - step @ H @ step < config.cost_tolerance * cost:
                 converged = True
                 break
             new_R, new_t = update_poses(step[None], R, t)
@@ -613,6 +620,76 @@ def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
     assert np.all(np.diag(damped[1]) > np.diag(damped[0]))
     if result is not None:
         assert (result.pose.R @ close[0] + result.pose.t)[2] > 0.0
+
+
+def test_predicted_decrease_equals_the_model_decrease():
+    # for h solving (H + lam diag(H)) h = -g, lam h^T D h - g^T h is the
+    # Gauss-Newton model's decrease -2 g^T h - h^T H h
+    rng = np.random.default_rng(5)
+    for n in (6, 9, 30):
+        for lam in (0.0, 1e-6, 1e-4, 0.3, 10.0, 1e4):
+            A = rng.normal(size=(n, n))
+            H = A @ A.T + n * np.eye(n)
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4)
+            d = np.diag(H)
+            h = np.linalg.solve(H + lam * np.diag(d), -g)
+            model = -2.0 * g @ h - h @ H @ h
+            assert model > 0.0
+            assert _predicted_decrease(g, d, h, lam) == pytest.approx(model, rel=1e-12)
+
+
+@pytest.mark.parametrize("outlier_rate", [0.05, 0.2])
+def test_default_stopping_rule_halves_the_evaluations(monkeypatch, outlier_rate):
+    # the default stops tracking and bundle adjustment once the model cannot
+    # gain a relevant digit; a tenth-digit tolerance may not track better
+    seq = generate_sequence(small_scene(outlier_rate=outlier_rate))
+    calls = []
+    original = estimator._evaluate
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_evaluate", counting)
+    errors = []
+    for config in (SolverConfig(cost_tolerance=1e-10), SolverConfig()):
+        calls.append(0)
+        result = run_sequence(seq.frames, seq.intrinsics, config)
+        errors.append(ate(result.trajectory, gt_trajectory(seq)).rmse)
+    assert calls[1] <= 0.6 * calls[0]
+    assert errors[1] <= 1.1 * errors[0]
+
+
+def test_track_at_the_damping_ceiling_keeps_its_start_pose(monkeypatch):
+    # every damped solve returns a non-finite step: the damping climbs to its
+    # ceiling and tracking ends at the pose it started from
+    config = SolverConfig()
+    rng = np.random.default_rng(17)
+    points = scatter_points(rng, 40)
+    ms = landmark_map(points, config)
+    w2c = se3_exp(np.array([0.1, 0.0, 0.05, 0.0, 0.01, 0.0]))
+    frame = frame_at(w2c, points, frame_id=3)
+    tried = []
+
+    def non_finite(a, b):
+        tried.append(a)
+        return np.full(np.shape(b), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", non_finite)
+    result = track_frame(ms, frame, config, prev_pose=w2c)
+
+    # one solve per damping value from initial_damping up to the ceiling
+    steps = math.log10(config.damping_ceiling / config.initial_damping)
+    assert len(tried) == round(steps) + 1
+    np.testing.assert_array_equal(result.pose.R, w2c.R)
+    np.testing.assert_array_equal(result.pose.t, w2c.t)
+    assert result.inlier_ids.size == 40
+
+    # from a start far off the frame's pose, the same solve fails the inlier
+    # floor instead
+    far = PoseSE3(w2c.R, w2c.t + np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(TrackingLost, match="inlier"):
+        track_frame(ms, frame, config, prev_pose=far)
 
 
 # --- landmark culling ---------------------------------------------------------
@@ -822,10 +899,9 @@ def test_landmarks_stay_sorted_and_reject_a_second_mapping():
 # --- bundle adjustment ----------------------------------------------------------
 
 
-def test_ba_damped_step_matches_dense_solve():
-    # the Schur solve must equal solving the whole damped system at once,
-    # H + lam diag(H), with the pose blocks damped like the landmark ones
-    config = SolverConfig()
+def ba_test_map(config):
+    """Three keyframes sharing 12 landmarks, the first fixed, the normal
+    factor active, 0.5 px noise."""
     ms, _, poses = two_keyframe_map(
         config, n=12, seed=24, with_normal=True, pixel_noise=0.5
     )
@@ -837,12 +913,13 @@ def test_ba_damped_step_matches_dense_solve():
             pose=se3_exp(0.5 * SECOND_TWIST).compose(poses[1]),
         )
     )
-    points = ms.lm_pos.copy()
     pose2 = ms.keyframes[2].pose
-    ms.add_observations(2, np.arange(12), project(K, points @ pose2.R.T + pose2.t))
-    problem = _BAProblem(ms, [0, 1, 2], config)
-    assert problem.nw_active and len(problem.free_ids) == 2
-    Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
+    ms.add_observations(2, np.arange(12), project(K, ms.lm_pos @ pose2.R.T + pose2.t))
+    return ms
+
+
+def dense_system(Hpp, gp, Hll, gl, W):
+    """The undamped normal equations (H, g) that the Schur blocks split."""
     P, Lb = Hpp.shape[0], Hll.shape[0]
     H = np.zeros((6 * P + 3 * Lb, 6 * P + 3 * Lb))
     for p in range(P):
@@ -852,7 +929,18 @@ def test_ba_damped_step_matches_dense_solve():
         H[at : at + 3, at : at + 3] = Hll[lm]
     H[: 6 * P, 6 * P :] = W
     H[6 * P :, : 6 * P] = W.T
-    g = np.concatenate([gp.ravel(), gl.ravel()])
+    return H, np.concatenate([gp.ravel(), gl.ravel()])
+
+
+def test_ba_damped_step_matches_dense_solve():
+    # the Schur solve must equal solving the whole damped system at once,
+    # H + lam diag(H), with the pose blocks damped like the landmark ones
+    config = SolverConfig()
+    problem = _BAProblem(ba_test_map(config), [0, 1, 2], config)
+    assert problem.nw_active and len(problem.free_ids) == 2
+    Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
+    P = Hpp.shape[0]
+    H, g = dense_system(Hpp, gp, Hll, gl, W)
 
     for lam in (0.0, 0.5, 30.0):
         dp, dl = _ba_solve(Hpp, gp, Hll, gl, W, lam)
@@ -860,6 +948,54 @@ def test_ba_damped_step_matches_dense_solve():
         atol = 1e-9 * np.max(np.abs(dense))
         np.testing.assert_allclose(dp.ravel(), dense[: 6 * P], rtol=0, atol=atol)
         np.testing.assert_allclose(dl.ravel(), dense[6 * P :], rtol=0, atol=atol)
+
+
+def test_ba_stops_on_the_dense_model_decrease(monkeypatch):
+    # the stopping test sees the assembled gradient and the diagonal of the
+    # whole undamped system, pose and landmark blocks alike
+    config = SolverConfig(covisibility_min_shared=1)
+    ms = ba_test_map(config)
+    assembled, predicted = [], []
+    original_assemble = estimator._ba_assemble
+    original_predicted = estimator._predicted_decrease
+
+    def recording_assemble(*args):
+        assembled.append(original_assemble(*args))
+        return assembled[-1]
+
+    def recording_predicted(g, d, h, lam):
+        value = original_predicted(g, d, h, lam)
+        predicted.append((len(assembled), h, lam, value))
+        return value
+
+    monkeypatch.setattr(estimator, "_ba_assemble", recording_assemble)
+    monkeypatch.setattr(estimator, "_predicted_decrease", recording_predicted)
+    report = local_bundle_adjustment(ms, 2, config)
+
+    assert report.free_poses == 2 and predicted
+    for n_assembled, h, lam, value in predicted:
+        blocks = assembled[n_assembled - 1]
+        H, g = dense_system(*blocks)
+        dp, dl = _ba_solve(*blocks, lam)
+        np.testing.assert_array_equal(h, np.concatenate([dp.ravel(), dl.ravel()]))
+        # the identity holds to the accuracy of the Schur solve, not exactly
+        assert value == pytest.approx(-2.0 * g @ h - h @ H @ h, rel=1e-8)
+
+
+def test_ba_at_the_damping_ceiling_raises_solver_diverged(monkeypatch):
+    config = SolverConfig(covisibility_min_shared=1)
+    ms = ba_test_map(config)
+    lams = []
+
+    def non_finite(Hpp, gp, Hll, gl, W, lam):
+        lams.append(lam)
+        return np.full(gp.shape, np.nan), np.full(gl.shape, np.nan)
+
+    monkeypatch.setattr(estimator, "_ba_solve", non_finite)
+    with pytest.raises(SolverDiverged, match="damping ceiling"):
+        local_bundle_adjustment(ms, 2, config)
+    assert lams[0] == config.initial_damping
+    assert lams[-1] <= config.damping_ceiling < lams[-1] * config.damping_increase
 
 
 def test_ba_perfect_map_is_a_fixed_point():
@@ -1274,6 +1410,27 @@ def test_run_sequence_reports_first_frame_of_lost_streak(clean_seq):
     with pytest.raises(TrackingLost, match="no recovery") as exc:
         run_sequence(frames, clean_seq.intrinsics, SolverConfig())
     assert exc.value.frame_id == 20
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_coasting_streak_that_ends_the_run(clean_seq, extra):
+    # max_track_failures blank frames at the end are coasted through; one
+    # more ends the run with the first frame of the streak
+    config = SolverConfig()
+    blanks = config.max_track_failures + extra
+    frames = list(clean_seq.frames)
+    first = len(frames) - blanks
+    frames[first:] = [_blank_frame(clean_seq, fid) for fid in range(first, len(frames))]
+    if extra:
+        with pytest.raises(TrackingLost, match="no recovery") as exc:
+            run_sequence(frames, clean_seq.intrinsics, config)
+        assert exc.value.frame_id == first
+        return
+    result = run_sequence(frames, clean_seq.intrinsics, config)
+    assert len(result.trajectory) == len(frames)
+    assert result.records[first - 1].inliers > 0
+    for rec in result.records[first:]:
+        assert rec.matched == 0 and rec.keyframe_id is None
 
 
 def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):

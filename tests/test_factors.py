@@ -7,6 +7,7 @@ from normalvo.factors import (
     huber,
     make_tangent_basis,
     normal_jacobian,
+    normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
     reprojection_residual,
@@ -285,6 +286,9 @@ def test_normal_factor_batched_over_keyframes_matches_single_calls():
         )
         np.testing.assert_allclose(J_phi_b[k], J_phi, rtol=0, atol=1e-15)
         np.testing.assert_allclose(J_nw_b[k], J_nw, rtol=0, atol=1e-15)
+        # tracking forms J_phi alone; it must be the same numbers
+        np.testing.assert_array_equal(normal_pose_jacobian(B[k], R[k], n_w), J_phi)
+    np.testing.assert_array_equal(normal_pose_jacobian(B, R, n_w), J_phi_b)
 
 
 
