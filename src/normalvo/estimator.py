@@ -35,7 +35,6 @@ from .factors import (
 from .geometry import (
     Intrinsics,
     PoseSE3,
-    nearest_rotation,
     project,
     transform_point,
     triangulate,
@@ -187,8 +186,9 @@ class MapState:
     id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
     row; removal sets its ``obs_kf`` to -1. Once such dead rows outnumber
     the live ones, the removal drops them, keeping the live rows in order,
-    so an id is only valid until the next removal. Covisibility is counted
-    from these arrays when asked for.
+    so an id is only valid until the next removal. :meth:`observation_rows`
+    finds a landmark's rows through an order of the rows by landmark, then
+    keyframe, rebuilt on the first read after an append or a compaction.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
@@ -205,6 +205,9 @@ class MapState:
         self.obs_kf = np.zeros(0, dtype=int)
         self.obs_lm = np.zeros(0, dtype=int)
         self.obs_uvu = np.zeros((0, 3))
+        self._dead = 0  # rows removed since the last compaction
+        # rows ordered by (landmark, keyframe) and their landmarks; None if stale
+        self._by_lm: tuple | None = None
         self.world_normal: np.ndarray | None = None
         self.normal_init_remaining: int = config.normal_init_window
 
@@ -228,19 +231,34 @@ class MapState:
         rows = np.minimum(rows, self.landmarks.size - 1)
         return np.where(self.landmarks[rows] == ids, rows, -1)
 
+    def observation_rows(self, landmark_ids) -> np.ndarray:
+        """Ids of the live observations of landmarks ``landmark_ids``, grouped
+        by landmark in the order given, keyframes ascending within each."""
+        if self._by_lm is None:
+            order = np.lexsort((self.obs_kf, self.obs_lm))
+            self._by_lm = (order, self.obs_lm[order])
+        order, sorted_lm = self._by_lm
+        ids = np.asarray(landmark_ids, dtype=int).reshape(-1)
+        lo = np.searchsorted(sorted_lm, ids, side="left")
+        counts = np.searchsorted(sorted_lm, ids, side="right") - lo
+        # expand each [lo, lo + count) range into consecutive positions
+        starts = np.cumsum(counts) - counts
+        rows = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+        return rows[self.obs_kf[rows] >= 0]
+
     def add_landmarks(self, ids, positions):
         """Map new landmarks ``ids`` at world ``positions`` (N, 3), without
         observations yet."""
         ids = np.asarray(ids, dtype=int).reshape(-1)
+        if np.shape(positions) != (ids.size, 3):
+            raise ValueError("positions must have shape (len(ids), 3)")
         order = np.argsort(ids)
-        ids = ids[order]
+        ids, positions = ids[order], np.asarray(positions)[order]
         if np.any(self.landmark_rows(ids) >= 0) or np.any(ids[1:] == ids[:-1]):
             raise ValueError("landmark id already mapped")
         at = np.searchsorted(self.landmarks, ids)
         self.landmarks = np.insert(self.landmarks, at, ids)
-        self.lm_pos = np.insert(
-            self.lm_pos, at, np.reshape(positions, (-1, 3))[order], axis=0
-        )
+        self.lm_pos = np.insert(self.lm_pos, at, positions, axis=0)
         self.lm_misses = np.insert(self.lm_misses, at, 0)
         self.lm_nobs = np.insert(self.lm_nobs, at, 0)
 
@@ -248,7 +266,9 @@ class MapState:
         """Record measurements ``uvu`` (N, 3) of existing landmarks from one
         keyframe; returns their ids. A keyframe observes a landmark once."""
         ids = np.asarray(landmark_ids, dtype=int).reshape(-1)
-        seen = np.isin(ids, self.obs_lm[self.obs_kf == kf_id])
+        if np.shape(uvu) != (ids.size, 3):
+            raise ValueError("uvu must have shape (len(landmark_ids), 3)")
+        seen = self.obs_kf[self.observation_rows(ids)] == kf_id
         if seen.any() or np.unique(ids).size != ids.size:
             raise ValueError(f"keyframe {kf_id} observes a landmark twice")
         rows = self.landmark_rows(ids)
@@ -258,7 +278,8 @@ class MapState:
         start = self.obs_kf.size
         self.obs_kf = np.concatenate([self.obs_kf, np.full(ids.size, kf_id)])
         self.obs_lm = np.concatenate([self.obs_lm, ids])
-        self.obs_uvu = np.concatenate([self.obs_uvu, np.reshape(uvu, (-1, 3))])
+        self.obs_uvu = np.concatenate([self.obs_uvu, uvu])
+        self._by_lm = None
         return np.arange(start, self.obs_kf.size)
 
     def remove_observations(self, obs_ids):
@@ -266,8 +287,11 @@ class MapState:
         delete the landmarks left unobserved; compacts the arrays once dead
         rows outnumber live ones."""
         obs_ids = np.unique(np.asarray(obs_ids, dtype=int))
+        if obs_ids.size and not 0 <= obs_ids[0] <= obs_ids[-1] < self.obs_kf.size:
+            raise ValueError("observation id out of range")
         obs_ids = obs_ids[self.obs_kf[obs_ids] >= 0]
         self.obs_kf[obs_ids] = -1
+        self._dead += obs_ids.size
         touched, counts = np.unique(self.obs_lm[obs_ids], return_counts=True)
         rows = np.searchsorted(self.landmarks, touched)
         self.lm_nobs[rows] -= counts
@@ -277,18 +301,20 @@ class MapState:
             self.lm_pos = np.delete(self.lm_pos, orphans, axis=0)
             self.lm_misses = np.delete(self.lm_misses, orphans)
             self.lm_nobs = np.delete(self.lm_nobs, orphans)
-        live = self.obs_kf >= 0
-        if 2 * np.count_nonzero(live) < live.size:
+        if 2 * self._dead > self.obs_kf.size:
+            live = self.obs_kf >= 0
             self.obs_kf = self.obs_kf[live]
             self.obs_lm = self.obs_lm[live]
             self.obs_uvu = self.obs_uvu[live]
+            self._dead = 0
+            self._by_lm = None
 
     def covisibility(self, kf_id: int) -> np.ndarray:
         """Landmarks each keyframe shares with ``kf_id``, indexed by keyframe
         id (0 for ``kf_id`` itself)."""
-        mine = np.isin(self.obs_lm, self.obs_lm[self.obs_kf == kf_id])
-        others = self.obs_kf[mine & (self.obs_kf >= 0) & (self.obs_kf != kf_id)]
-        return np.bincount(others, minlength=len(self.keyframes))
+        mine = self.observation_rows(self.obs_lm[self.obs_kf == kf_id])
+        others = self.obs_kf[mine]
+        return np.bincount(others[others != kf_id], minlength=len(self.keyframes))
 
     def covisible_keyframes(self, kf_id: int, min_shared: int) -> list[int]:
         """Keyframes sharing at least ``min_shared`` landmarks with ``kf_id``,
@@ -298,24 +324,28 @@ class MapState:
         return ids[np.lexsort((ids, -shared[ids]))].tolist()
 
 
+def _extrapolate(prev: PoseSE3 | None, prev_prev: PoseSE3 | None):
+    """``(R, t)`` of the constant-velocity pose ``prev * prev_prev^-1 * prev``
+    (``prev`` without ``prev_prev``, the identity without either). Its
+    rotation gets the polar step of :func:`update_poses`, or orthonormality
+    error would double every frame of the pose -> extrapolation recursion."""
+    if prev is None:
+        return np.eye(3), np.zeros(3)
+    if prev_prev is None:
+        return prev.R, prev.t
+    R_inv = prev_prev.R.T
+    R_step = prev.R @ R_inv
+    t_step = prev.R @ (-R_inv @ prev_prev.t) + prev.t
+    R = R_step @ prev.R
+    return 1.5 * R - 0.5 * (R @ (R.T @ R)), R_step @ prev.t + t_step
+
+
 def constant_velocity_init(
     prev: PoseSE3 | None = None, prev_prev: PoseSE3 | None = None
 ) -> PoseSE3:
     """Extrapolated initial pose; identity when no motion history exists.
-
-    The rotation of the extrapolation is projected back onto SO(3): the
-    recursion pose -> extrapolation -> next pose would otherwise double
-    accumulated orthonormality error every frame.
-    """
-    if prev is None:
-        return PoseSE3.identity()
-    if prev_prev is None:
-        return prev
-    # prev * prev_prev^-1 * prev, composed on the arrays
-    R_inv = prev_prev.R.T
-    R_step = prev.R @ R_inv
-    t_step = prev.R @ (-R_inv @ prev_prev.t) + prev.t
-    return PoseSE3(nearest_rotation(R_step @ prev.R), R_step @ prev.t + t_step)
+    Tracking starts from the same extrapolation (:func:`_extrapolate`)."""
+    return PoseSE3(*_extrapolate(prev, prev_prev))
 
 
 @dataclass(frozen=True)
@@ -428,8 +458,7 @@ def track_frame(
         return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
 
     # the pose is held as one (3, 3), (3,) pair while it is solved
-    init = constant_velocity_init(prev_pose, prev_prev_pose)
-    R, t = init.R, init.t
+    R, t = _extrapolate(prev_pose, prev_prev_pose)
     ev = evaluate(R, t)
     if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
@@ -526,11 +555,7 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
     misses[rows] += 1
     culled = map_state.landmarks[rows[misses[rows] >= config.cull_misses]]
     if culled.size:
-        # "sort" compares element-wise against a short list; numpy's default
-        # builds a lookup table over the whole id range, ten times slower here
-        live = map_state.obs_kf >= 0
-        doomed = np.isin(map_state.obs_lm, culled, kind="sort") & live
-        map_state.remove_observations(np.flatnonzero(doomed))
+        map_state.remove_observations(map_state.observation_rows(culled))
         logger.debug("culled %d landmarks after frame tracking", culled.size)
     return int(culled.size)
 
@@ -645,8 +670,7 @@ class _BAProblem:
         # every live observation of a landmark the window sees, grouped by
         # landmark with keyframes ascending
         self.lm_ids = np.unique(obs_lm[np.isin(obs_kf, np.asarray(window_ids))])
-        rows = np.flatnonzero(np.isin(obs_lm, self.lm_ids) & (obs_kf >= 0))
-        self.obs_ids = rows[np.lexsort((obs_kf[rows], obs_lm[rows]))]
+        self.obs_ids = map_state.observation_rows(self.lm_ids)
         self.obs_uvu = map_state.obs_uvu[self.obs_ids]
         self.obs_lm = np.searchsorted(self.lm_ids, obs_lm[self.obs_ids])
 
@@ -859,14 +883,14 @@ def local_bundle_adjustment(
 
     def run_rejection() -> int:
         nonlocal problem, removed_total
-        problem.write_back()
-        # ev is the evaluation at exactly the state write_back stored
         removed = reject_outliers(map_state, config, problem.obs_ids, problem.ev.sq)
         removed_total += removed
         logger.debug(
             "ba[%d]: rejection removed %d observations", current_kf_id, removed
         )
         if removed:
+            # the rebuild reads the map: store the state ev was evaluated at
+            problem.write_back()
             problem = _BAProblem(map_state, problem.window_ids, config)
         return removed
 

@@ -89,8 +89,8 @@ def test_tracer_records_layers_and_restores_originals(tracing, strip):
 
 def test_solvers_update_stacked_poses_without_per_step_projection(strip, monkeypatch):
     # the solvers update (R, t) arrays in one batched kernel per step: no
-    # per-pose apply_update, and one SVD per frame at most, in the motion
-    # model. Counts only; no timing is asserted.
+    # per-pose apply_update, and no SVD at all, the motion model included.
+    # Counts only; no timing is asserted.
     calls = {"apply_update": 0, "nearest_rotation": 0}
     for func in calls:
         original = getattr(geometry, func)
@@ -107,4 +107,4 @@ def test_solvers_update_stacked_poses_without_per_step_projection(strip, monkeyp
 
     assert any(r.keyframe_id is not None for r in result.records[1:])
     assert calls["apply_update"] == 0
-    assert 0 < calls["nearest_rotation"] <= len(strip.frames)
+    assert calls["nearest_rotation"] == 0

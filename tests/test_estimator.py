@@ -896,6 +896,111 @@ def test_landmarks_stay_sorted_and_reject_a_second_mapping():
     assert ms.landmarks.tolist() == [0, 2, 5, 7, 9]
 
 
+def test_map_rejects_arrays_that_do_not_line_up():
+    # each call would leave the row-aligned arrays out of step, or drop rows
+    config = SolverConfig()
+    ms, _, _ = two_keyframe_map(config, n=3, seed=5)
+    uvu = np.array([[330.0, 240.0, 310.0]] * 2)
+    ms.keyframes.append(
+        Keyframe(id=2, frame_id=2, timestamp=2.0, pose=PoseSE3.identity())
+    )
+    before = (ms.obs_kf.copy(), ms.obs_lm.copy(), ms.obs_uvu.copy())
+    with pytest.raises(ValueError, match="shape"):
+        ms.add_observations(2, [0, 1, 2], uvu)  # 3 landmarks, 2 measurements
+    with pytest.raises(ValueError, match="out of range"):
+        ms.remove_observations([-1])  # no negative indexing from the end
+    with pytest.raises(ValueError, match="out of range"):
+        ms.remove_observations([ms.obs_kf.size])
+    for a, b in zip(before, (ms.obs_kf, ms.obs_lm, ms.obs_uvu)):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="shape"):
+        ms.add_landmarks([4, 5, 6], np.zeros((5, 3)))  # 3 ids, 5 positions
+    assert ms.landmarks.tolist() == [0, 1, 2]
+    assert_map_consistent(ms)
+
+
+def brute_force_rows(ms, lm_ids):
+    """Live rows of landmarks ``lm_ids`` by an ``np.isin`` over every row,
+    grouped in the order of ``lm_ids`` with keyframes ascending."""
+    live = np.flatnonzero(ms.obs_kf >= 0)
+    rows = live[np.isin(ms.obs_lm[live], lm_ids)]
+    rank = {int(lm): i for i, lm in enumerate(lm_ids)}
+    return np.array(
+        sorted(rows.tolist(), key=lambda r: (rank[int(ms.obs_lm[r])], ms.obs_kf[r])),
+        dtype=int,
+    )
+
+
+def test_observation_index_matches_a_scan_through_adds_culls_and_compaction():
+    rng = np.random.default_rng(31)
+    ms = MapState(K, SolverConfig())
+    compacted = False
+    for kf_id in range(12):
+        ms.keyframes.append(
+            Keyframe(id=kf_id, frame_id=kf_id, timestamp=0.0, pose=PoseSE3.identity())
+        )
+        fresh = np.arange(6 * kf_id, 6 * kf_id + 6)
+        old = rng.choice(ms.landmarks, size=min(4, ms.landmarks.size), replace=False)
+        ms.add_landmarks(fresh, rng.uniform(1.0, 5.0, (6, 3)))
+        ids = np.concatenate([fresh, old])
+        ms.add_observations(kf_id, ids, rng.normal(size=(ids.size, 3)))
+        # an older keyframe's rows, written after the newer keyframe's
+        k = int(rng.integers(kf_id + 1))
+        unseen = np.setdiff1d(ms.landmarks, ms.obs_lm[ms.obs_kf == k])
+        ids = rng.choice(unseen, size=min(3, unseen.size), replace=False)
+        ms.add_observations(k, ids, rng.normal(size=(ids.size, 3)))
+
+        size = ms.obs_kf.size
+        ms.remove_observations(rng.choice(size, size=size // 3, replace=False))
+        compacted |= ms.obs_kf.size < size
+        query = rng.permutation(np.append(ms.landmarks, [10_000, -4]))
+        np.testing.assert_array_equal(
+            ms.observation_rows(query), brute_force_rows(ms, query)
+        )
+        assert_map_consistent(ms)
+    assert compacted
+
+
+def test_ba_problem_selects_the_rows_of_the_old_scan():
+    # the window's rows through the index, in the order the old isin and
+    # lexsort over every row gave them, with a row written for an older
+    # keyframe after a newer one
+    config = SolverConfig()
+    ms = ba_test_map(config)
+    ms.keyframes.append(
+        Keyframe(id=3, frame_id=3, timestamp=3.0, pose=ms.keyframes[2].pose)
+    )
+    ms.add_observations(3, [0, 1, 2], ms.obs_uvu[:3])
+    ms.remove_observations([obs_row(ms, 1, 5), obs_row(ms, 2, 7)])
+    ms.add_landmarks([12], [[0.1, 0.2, 6.0]])
+    ms.add_observations(1, [12], ms.obs_uvu[:1])
+    ms.add_observations(0, [12], ms.obs_uvu[:1])
+    for window in ([1, 2], [0, 3], [0, 1, 2, 3]):
+        problem = _BAProblem(ms, window, config)
+        obs_kf, obs_lm = ms.obs_kf, ms.obs_lm
+        lm_ids = np.unique(obs_lm[np.isin(obs_kf, window)])
+        rows = np.flatnonzero(np.isin(obs_lm, lm_ids) & (obs_kf >= 0))
+        expected = rows[np.lexsort((obs_kf[rows], obs_lm[rows]))]
+        np.testing.assert_array_equal(problem.lm_ids, lm_ids)
+        np.testing.assert_array_equal(problem.obs_ids, expected)
+
+
+def test_ba_without_rejections_writes_back_once(monkeypatch):
+    config = SolverConfig()
+    ms, _, _ = two_keyframe_map(config, with_normal=True, pixel_noise=0.3)
+    calls = []
+    original = _BAProblem.write_back
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(_BAProblem, "write_back", counting)
+    report = local_bundle_adjustment(ms, 1, config)
+    assert report.accepted_steps > 0 and report.removed_observations == 0
+    assert len(calls) == 1
+
+
 # --- bundle adjustment ----------------------------------------------------------
 
 
