@@ -187,8 +187,7 @@ class MapState:
     row; removal sets its ``obs_kf`` to -1. Once such dead rows outnumber
     the live ones, the removal drops them, keeping the live rows in order,
     so an id is only valid until the next removal. :meth:`observation_rows`
-    finds a landmark's rows through an order of the rows by landmark, then
-    keyframe, rebuilt on the first read after an append or a compaction.
+    reads them through an index of the rows by landmark, then keyframe.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
@@ -206,8 +205,7 @@ class MapState:
         self.obs_lm = np.zeros(0, dtype=int)
         self.obs_uvu = np.zeros((0, 3))
         self._dead = 0  # rows removed since the last compaction
-        # rows ordered by (landmark, keyframe) and their landmarks; None if stale
-        self._by_lm: tuple | None = None
+        self._by_lm = None  # (rows by landmark then keyframe, their landmarks)
         self.world_normal: np.ndarray | None = None
         self.normal_init_remaining: int = config.normal_init_window
 
@@ -231,14 +229,13 @@ class MapState:
         rows = np.minimum(rows, self.landmarks.size - 1)
         return np.where(self.landmarks[rows] == ids, rows, -1)
 
-    def observation_rows(self, landmark_ids) -> np.ndarray:
-        """Ids of the live observations of landmarks ``landmark_ids``, grouped
-        by landmark in the order given, keyframes ascending within each."""
+    def observation_rows(self, ids) -> np.ndarray:
+        """Ids of the live observations of landmarks ``ids`` (1-D), grouped by
+        landmark in the order given, keyframes ascending within each."""
         if self._by_lm is None:
             order = np.lexsort((self.obs_kf, self.obs_lm))
             self._by_lm = (order, self.obs_lm[order])
         order, sorted_lm = self._by_lm
-        ids = np.asarray(landmark_ids, dtype=int).reshape(-1)
         lo = np.searchsorted(sorted_lm, ids, side="left")
         counts = np.searchsorted(sorted_lm, ids, side="right") - lo
         # expand each [lo, lo + count) range into consecutive positions
@@ -276,10 +273,17 @@ class MapState:
             raise KeyError(f"no landmark {ids[rows < 0][0]}")
         self.lm_nobs[rows] += 1
         start = self.obs_kf.size
+        if self._by_lm is not None and kf_id >= self.obs_kf.max(initial=-1):
+            # no live row has a later keyframe: merge the new rows in last
+            order, sorted_lm = self._by_lm
+            new, lms = start + np.argsort(ids), np.sort(ids)
+            at = np.searchsorted(sorted_lm, lms, side="right")
+            self._by_lm = np.insert(order, at, new), np.insert(sorted_lm, at, lms)
+        else:  # rebuilt on the next read, as after a compaction
+            self._by_lm = None
         self.obs_kf = np.concatenate([self.obs_kf, np.full(ids.size, kf_id)])
         self.obs_lm = np.concatenate([self.obs_lm, ids])
         self.obs_uvu = np.concatenate([self.obs_uvu, uvu])
-        self._by_lm = None
         return np.arange(start, self.obs_kf.size)
 
     def remove_observations(self, obs_ids):
@@ -306,8 +310,7 @@ class MapState:
             self.obs_kf = self.obs_kf[live]
             self.obs_lm = self.obs_lm[live]
             self.obs_uvu = self.obs_uvu[live]
-            self._dead = 0
-            self._by_lm = None
+            self._dead, self._by_lm = 0, None
 
     def covisibility(self, kf_id: int) -> np.ndarray:
         """Landmarks each keyframe shares with ``kf_id``, indexed by keyframe
@@ -325,10 +328,7 @@ class MapState:
 
 
 def _extrapolate(prev: PoseSE3 | None, prev_prev: PoseSE3 | None):
-    """``(R, t)`` of the constant-velocity pose ``prev * prev_prev^-1 * prev``
-    (``prev`` without ``prev_prev``, the identity without either). Its
-    rotation gets the polar step of :func:`update_poses`, or orthonormality
-    error would double every frame of the pose -> extrapolation recursion."""
+    """:func:`constant_velocity_init` on arrays: ``(R, t)``, unvalidated."""
     if prev is None:
         return np.eye(3), np.zeros(3)
     if prev_prev is None:
@@ -343,8 +343,9 @@ def _extrapolate(prev: PoseSE3 | None, prev_prev: PoseSE3 | None):
 def constant_velocity_init(
     prev: PoseSE3 | None = None, prev_prev: PoseSE3 | None = None
 ) -> PoseSE3:
-    """Extrapolated initial pose; identity when no motion history exists.
-    Tracking starts from the same extrapolation (:func:`_extrapolate`)."""
+    """Extrapolated pose ``prev * prev_prev^-1 * prev``: ``prev`` without
+    ``prev_prev``, identity without either. Its rotation gets the polar step
+    of :func:`update_poses`, so orthonormality error cannot compound."""
     return PoseSE3(*_extrapolate(prev, prev_prev))
 
 
