@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -113,7 +114,7 @@ def _normal_term_count(map_state, solver) -> int:
     """Keyframes contributing a surface factor to the final map cost."""
     if solver.loss.normal_weight <= 0.0 or map_state.world_normal is None:
         return 0
-    return sum(1 for kf in map_state.keyframes if kf.basis is not None)
+    return sum(1 for n in map_state.kf_normal[:, 0] if not math.isnan(n))
 
 
 def cmd_run(args) -> int:

@@ -91,6 +91,8 @@ def load_trajectory(path) -> Trajectory:
             raise DataFormatError(
                 f"{path}:{lineno}: non-numeric field in {line!r}"
             ) from None
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite field in {line!r}")
         q = values[4:8]
         norm = float(np.linalg.norm(q))
         if norm == 0.0:

@@ -36,7 +36,6 @@ from .geometry import (
     Intrinsics,
     PoseSE3,
     project,
-    transform_point,
     triangulate,
     update_poses,
 )
@@ -162,20 +161,14 @@ class FrameData:
         return make_tangent_basis(self.frame_normal)
 
 
-@dataclass
-class Keyframe:
-    id: int
-    frame_id: int
-    timestamp: float
-    pose: PoseSE3
-    normal: np.ndarray | None = None
-    basis: np.ndarray | None = None
-    fixed: bool = False
-    reference_inliers: int = 0
-
-
 class MapState:
     """Keyframes, landmarks and the observations tying them together.
+
+    Keyframes are arrays indexed by keyframe id: frame ids ``keyframes``,
+    world-to-camera poses ``kf_R`` (K, 3, 3) and ``kf_t`` (K, 3), normals
+    ``kf_normal`` and tangent bases ``kf_basis`` (NaN without a measured
+    normal) and gauge flags ``kf_fixed``. ``reference_inliers`` counts the
+    observations of the newest keyframe.
 
     Landmarks are four arrays aligned by row: ids ``landmarks``, ascending,
     positions ``lm_pos`` (N, 3), ``lm_misses``, the consecutive tracking
@@ -196,7 +189,13 @@ class MapState:
     def __init__(self, intrinsics: Intrinsics, config: SolverConfig):
         self.intrinsics = intrinsics
         self.config = config
-        self.keyframes: list[Keyframe] = []
+        self.keyframes = np.zeros(0, dtype=int)
+        self.kf_R = np.zeros((0, 3, 3))
+        self.kf_t = np.zeros((0, 3))
+        self.kf_normal = np.zeros((0, 3))
+        self.kf_basis = np.zeros((0, 2, 3))
+        self.kf_fixed = np.zeros(0, dtype=bool)
+        self.reference_inliers = 0
         self.landmarks = np.zeros(0, dtype=int)
         self.lm_pos = np.zeros((0, 3))
         self.lm_misses = np.zeros(0, dtype=int)
@@ -243,6 +242,21 @@ class MapState:
         rows = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
         return rows[self.obs_kf[rows] >= 0]
 
+    def add_keyframe(self, frame_id: int, pose: PoseSE3, normal=None, basis=None) -> int:
+        """Append a keyframe at world-to-camera ``pose`` with the frame normal
+        it measured, if any, and that normal's tangent basis; the first
+        keyframe holds the gauge. Returns its id."""
+        kf_id = self.keyframes.size
+        if normal is None:
+            normal, basis = np.full(3, np.nan), np.full((2, 3), np.nan)
+        self.keyframes = np.append(self.keyframes, frame_id)
+        self.kf_R = np.concatenate([self.kf_R, [pose.R]])
+        self.kf_t = np.concatenate([self.kf_t, [pose.t]])
+        self.kf_normal = np.concatenate([self.kf_normal, [normal]])
+        self.kf_basis = np.concatenate([self.kf_basis, [basis]])
+        self.kf_fixed = np.append(self.kf_fixed, kf_id == 0)
+        return kf_id
+
     def add_landmarks(self, ids, positions):
         """Map new landmarks ``ids`` at world ``positions`` (N, 3), without
         observations yet."""
@@ -260,11 +274,13 @@ class MapState:
         self.lm_nobs = np.insert(self.lm_nobs, at, 0)
 
     def add_observations(self, kf_id: int, landmark_ids, uvu) -> np.ndarray:
-        """Record measurements ``uvu`` (N, 3) of existing landmarks from one
-        keyframe; returns their ids. A keyframe observes a landmark once."""
+        """Record measurements ``uvu`` (N, 3) of existing landmarks from existing
+        keyframe ``kf_id``; returns their ids. A keyframe observes a landmark once."""
         ids = np.asarray(landmark_ids, dtype=int).reshape(-1)
         if np.shape(uvu) != (ids.size, 3):
             raise ValueError("uvu must have shape (len(landmark_ids), 3)")
+        if not 0 <= kf_id < self.keyframes.size:
+            raise ValueError(f"no keyframe {kf_id}")
         seen = self.obs_kf[self.observation_rows(ids)] == kf_id
         if seen.any() or np.unique(ids).size != ids.size:
             raise ValueError(f"keyframe {kf_id} observes a landmark twice")
@@ -273,8 +289,8 @@ class MapState:
             raise KeyError(f"no landmark {ids[rows < 0][0]}")
         self.lm_nobs[rows] += 1
         start = self.obs_kf.size
-        if self._by_lm is not None and kf_id >= self.obs_kf.max(initial=-1):
-            # no live row has a later keyframe: merge the new rows in last
+        if self._by_lm is not None and kf_id == self.keyframes.size - 1:
+            # no row has a later keyframe: merge the new rows in last
             order, sorted_lm = self._by_lm
             new, lms = start + np.argsort(ids), np.sort(ids)
             at = np.searchsorted(sorted_lm, lms, side="right")
@@ -565,10 +581,9 @@ def select_keyframe(
     map_state: MapState, frame_id: int, inlier_count: int, config: SolverConfig
 ) -> bool:
     """Promote when overlap with the last keyframe decays or a gap elapses."""
-    last = map_state.keyframes[-1]
-    if frame_id - last.frame_id >= config.keyframe_gap:
+    if frame_id - map_state.keyframes[-1] >= config.keyframe_gap:
         return True
-    return inlier_count < config.keyframe_overlap * last.reference_inliers
+    return inlier_count < config.keyframe_overlap * map_state.reference_inliers
 
 
 def insert_keyframe(
@@ -577,48 +592,39 @@ def insert_keyframe(
     pose: PoseSE3,
     matched_ids,
     config: SolverConfig,
-) -> Keyframe:
-    """Add a keyframe: matched inliers become observations, the rest of the
-    frame's measurements are triangulated into new landmarks.
+) -> int:
+    """Add a keyframe and return its id: matched inliers become observations,
+    the rest of the frame's measurements are triangulated into new landmarks.
 
     The first keyframe seeds the world normal from its own frame normal; each
     insertion burns one step of the normal-init countdown, freezing the
     world normal once it reaches zero.
     """
-    K = map_state.intrinsics
-    kf = Keyframe(
-        id=len(map_state.keyframes),
-        frame_id=frame.frame_id,
-        timestamp=frame.timestamp,
-        pose=pose,
-        normal=frame.frame_normal,
-        basis=frame.tangent_basis,
-        fixed=len(map_state.keyframes) == 0,
+    K, R, t = map_state.intrinsics, pose.R, pose.t
+    kf_id = map_state.add_keyframe(
+        frame.frame_id, pose, frame.frame_normal, frame.tangent_basis
     )
-    map_state.keyframes.append(kf)
 
     ids, meas = frame.landmark_ids, frame.measurements
     mapped = map_state.landmark_rows(ids) >= 0
     new = ~mapped & (meas[:, 0] - meas[:, 2] > config.min_disparity)
-    world = transform_point(
-        pose.inverse(), triangulate(K, meas[new], d_min=config.min_disparity)
-    )
+    world = triangulate(K, meas[new], d_min=config.min_disparity) @ R + -R.T @ t
     map_state.add_landmarks(ids[new], world)
     keep = new | (mapped & np.isin(ids, matched_ids))
-    map_state.add_observations(kf.id, ids[keep], meas[keep])
-    kf.reference_inliers = int(np.count_nonzero(keep))
+    map_state.add_observations(kf_id, ids[keep], meas[keep])
+    map_state.reference_inliers = int(np.count_nonzero(keep))
 
-    if kf.id == 0 and frame.frame_normal is not None:
-        map_state.world_normal = pose.R.T @ frame.frame_normal
+    if kf_id == 0 and frame.frame_normal is not None:
+        map_state.world_normal = R.T @ frame.frame_normal
     map_state.normal_init_remaining = max(map_state.normal_init_remaining - 1, 0)
     logger.debug(
         "keyframe %d (frame %d): %d observations, %d new landmarks",
-        kf.id,
+        kf_id,
         frame.frame_id,
-        kf.reference_inliers,
+        map_state.reference_inliers,
         np.count_nonzero(new),
     )
-    return kf
+    return kf_id
 
 
 def reject_outliers(map_state: MapState, config: SolverConfig, obs_ids, sq) -> int:
@@ -656,29 +662,27 @@ class _BAProblem:
     index arrays), the current state and the objective evaluated there.
     The state is held as arrays: world-to-camera rotations ``R`` (P, 3, 3)
     and translations ``t`` (P, 3) with one row per keyframe of
-    ``all_kf_ids``, landmark positions and the world normal; poses become
-    PoseSE3 again only in ``write_back``. Rebuilt from the map after a
-    mid-run outlier rejection.
+    ``all_kf_ids``, gathered from the map's keyframe arrays and scattered
+    back by ``write_back``, landmark positions and the world normal. Rebuilt
+    from the map after a mid-run outlier rejection.
     """
 
     def __init__(self, map_state: MapState, window_ids, config: SolverConfig):
         self.map = map_state
         self.config = config
         self.window_ids = window_ids
-        kfs = map_state.keyframes
+        window = np.unique(np.asarray(window_ids, dtype=int))
         obs_kf, obs_lm = map_state.obs_kf, map_state.obs_lm
 
         # every live observation of a landmark the window sees, grouped by
         # landmark with keyframes ascending
-        self.lm_ids = np.unique(obs_lm[np.isin(obs_kf, np.asarray(window_ids))])
+        self.lm_ids = np.unique(obs_lm[np.isin(obs_kf, window)])
         self.obs_ids = map_state.observation_rows(self.lm_ids)
         self.obs_uvu = map_state.obs_uvu[self.obs_ids]
         self.obs_lm = np.searchsorted(self.lm_ids, obs_lm[self.obs_ids])
 
-        self.free_ids = sorted(
-            k for k in window_ids if not kfs[k].fixed
-        )
-        self.all_kf_ids = np.union1d(window_ids, obs_kf[self.obs_ids]).tolist()
+        self.free_ids = window[~map_state.kf_fixed[window]]
+        self.all_kf_ids = np.union1d(window, obs_kf[self.obs_ids])
         self.obs_pose = np.searchsorted(self.all_kf_ids, obs_kf[self.obs_ids])
         # pose row of each free pose, and free-pose index of each pose row
         # (-1 for poses held fixed)
@@ -698,8 +702,8 @@ class _BAProblem:
         self._free_segment = sorted_free[self._free_starts]
 
         # state
-        self.R = np.array([kfs[k].pose.R for k in self.all_kf_ids]).reshape(-1, 3, 3)
-        self.t = np.array([kfs[k].pose.t for k in self.all_kf_ids]).reshape(-1, 3)
+        self.R = map_state.kf_R[self.all_kf_ids]
+        self.t = map_state.kf_t[self.all_kf_ids]
         # every landmark with a live observation is mapped
         lm_rows = np.searchsorted(map_state.landmarks, self.lm_ids)
         self.points = map_state.lm_pos[lm_rows]
@@ -709,12 +713,12 @@ class _BAProblem:
 
         # normal-factor rows of the window keyframes that measured a normal
         self.normals = None
-        normal_kfs = [kfs[k] for k in sorted(window_ids) if kfs[k].basis is not None]
-        if normal_kfs and config.loss.normal_weight > 0.0 and self.n_w is not None:
+        normal_kfs = window[~np.isnan(map_state.kf_normal[window, 0])]
+        if normal_kfs.size and config.loss.normal_weight > 0.0 and self.n_w is not None:
             self.normals = (
-                np.searchsorted(self.all_kf_ids, [kf.id for kf in normal_kfs]),
-                np.array([kf.basis for kf in normal_kfs]),
-                np.array([kf.normal for kf in normal_kfs]),
+                np.searchsorted(self.all_kf_ids, normal_kfs),
+                map_state.kf_basis[normal_kfs],
+                map_state.kf_normal[normal_kfs],
             )
             self.normal_free = free_of_row[self.normals[0]]
         self.nw_active = self.normals is not None and map_state.normal_active
@@ -734,12 +738,12 @@ class _BAProblem:
         )
 
     def write_back(self):
-        for k, row in zip(self.free_ids, self.free_rows.tolist()):
-            self.map.keyframes[k].pose = PoseSE3(self.R[row], self.t[row])
+        self.map.kf_R[self.free_ids] = self.R[self.free_rows]
+        self.map.kf_t[self.free_ids] = self.t[self.free_rows]
         rows = self.map.landmark_rows(self.lm_ids)
         mapped = rows >= 0
         self.map.lm_pos[rows[mapped]] = self.points[mapped]
-        if self.nw_active and self.n_w is not None:
+        if self.nw_active:
             self.map.world_normal = self.n_w / np.linalg.norm(self.n_w)
 
 
@@ -1034,92 +1038,65 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
     """
     map_state = MapState(intrinsics, config)
     records = []
-    prev_pose = None
-    prev_prev_pose = None
+    prev_pose = prev_prev_pose = None
     lost_streak = 0
     streak_start = None
     for frame in frames:
-        if not map_state.keyframes:
+        kf_id = None
+        if not map_state.keyframes.size:
             pose = PoseSE3.identity()
-            kf = insert_keyframe(map_state, frame, pose, (), config)
-            records.append(
-                FrameRecord(
-                    frame_id=frame.frame_id,
-                    timestamp=frame.timestamp,
-                    keyframe_id=kf.id,
-                    tracked_pose=pose,
-                    matched=kf.reference_inliers,
-                    inliers=kf.reference_inliers,
-                )
-            )
-            prev_pose = pose
-            continue
-        try:
-            result = track_frame(map_state, frame, config, prev_pose, prev_prev_pose)
-        except TrackingLost:
+            kf_id = insert_keyframe(map_state, frame, pose, (), config)
+            matched = inliers = map_state.reference_inliers
+        else:
             try:
-                result = track_frame(map_state, frame, config, prev_pose, None)
-                logger.debug("frame %d: recovered from previous pose", frame.frame_id)
+                try:
+                    result = track_frame(
+                        map_state, frame, config, prev_pose, prev_prev_pose
+                    )
+                except TrackingLost:
+                    result = track_frame(map_state, frame, config, prev_pose, None)
+                    logger.debug(
+                        "frame %d: recovered from previous pose", frame.frame_id
+                    )
             except TrackingLost as err:
                 lost_streak += 1
-                if streak_start is None:
-                    streak_start = frame.frame_id
+                streak_start = frame.frame_id if lost_streak == 1 else streak_start
                 if lost_streak > config.max_track_failures:
                     raise TrackingLost(
                         streak_start,
                         f"no recovery within {lost_streak} frames ({err})",
                     ) from err
-                coasted = constant_velocity_init(prev_pose, prev_prev_pose)
                 logger.debug(
                     "frame %d: coasting (%d/%d)",
                     frame.frame_id,
                     lost_streak,
                     config.max_track_failures,
                 )
-                records.append(
-                    FrameRecord(
-                        frame_id=frame.frame_id,
-                        timestamp=frame.timestamp,
-                        keyframe_id=None,
-                        tracked_pose=coasted,
-                        matched=0,
-                        inliers=0,
+                pose = constant_velocity_init(prev_pose, prev_prev_pose)
+                matched = inliers = 0
+            else:
+                lost_streak = 0
+                cull_landmarks(map_state, result, config)
+                if select_keyframe(
+                    map_state, frame.frame_id, result.inlier_ids.size, config
+                ):
+                    kf_id = insert_keyframe(
+                        map_state, frame, result.pose, result.inlier_ids, config
                     )
-                )
-                prev_prev_pose, prev_pose = prev_pose, coasted
-                continue
-        lost_streak = 0
-        streak_start = None
-        cull_landmarks(map_state, result, config)
-        kf_id = None
-        if select_keyframe(
-            map_state, frame.frame_id, result.inlier_ids.size, config
-        ):
-            kf = insert_keyframe(
-                map_state, frame, result.pose, result.inlier_ids, config
-            )
-            kf_id = kf.id
-            if len(map_state.keyframes) >= 2:
-                local_bundle_adjustment(map_state, kf.id, config)
+                    local_bundle_adjustment(map_state, kf_id, config)
+                pose = result.pose
+                matched, inliers = result.matched, int(result.inlier_ids.size)
         records.append(
-            FrameRecord(
-                frame_id=frame.frame_id,
-                timestamp=frame.timestamp,
-                keyframe_id=kf_id,
-                tracked_pose=result.pose,
-                matched=result.matched,
-                inliers=int(result.inlier_ids.size),
-            )
+            FrameRecord(frame.frame_id, frame.timestamp, kf_id, pose, matched, inliers)
         )
-        prev_prev_pose, prev_pose = prev_pose, result.pose
+        prev_prev_pose, prev_pose = prev_pose, pose
 
-    poses_out = []
-    for rec in records:
-        if rec.keyframe_id is not None:
-            poses_out.append(map_state.keyframes[rec.keyframe_id].pose.inverse())
-        else:
-            poses_out.append(rec.tracked_pose.inverse())
-    trajectory = Trajectory(
-        np.array([rec.timestamp for rec in records]), poses_out
-    )
-    return RunResult(trajectory=trajectory, map_state=map_state, records=records)
+    # keyframes leave with their final bundle-adjusted poses; their ids run
+    # 0..K-1 in record order
+    R = np.array([rec.tracked_pose.R for rec in records]).reshape(-1, 3, 3)
+    t = np.array([rec.tracked_pose.t for rec in records]).reshape(-1, 3)
+    is_kf = np.array([rec.keyframe_id is not None for rec in records], dtype=bool)
+    R[is_kf], t[is_kf] = map_state.kf_R, map_state.kf_t
+    poses = [PoseSE3(R_i.T, -R_i.T @ t_i) for R_i, t_i in zip(R, t)]
+    timestamps = [rec.timestamp for rec in records]
+    return RunResult(Trajectory(timestamps, poses), map_state, records)

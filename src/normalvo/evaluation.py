@@ -39,6 +39,8 @@ class Trajectory:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         if len(self.timestamps) != len(self.poses):
             raise ValueError("timestamps and poses disagree in length")
+        if not np.isfinite(self.timestamps).all():
+            raise ValueError("timestamps must be finite")
         if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -48,6 +50,10 @@ class Trajectory:
     @property
     def positions(self) -> np.ndarray:
         return np.array([p.t for p in self.poses])
+
+    @property
+    def rotations(self) -> np.ndarray:
+        return np.array([p.R for p in self.poses]).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -154,19 +160,16 @@ def ate(
     supplied it is fitted internally via :func:`align`.
     """
     est_idx, gt_idx, dropped = associate(est, gt)
+    gt_pos, est_pos = gt.positions[gt_idx], est.positions[est_idx]
     if S is None:
         if len(est_idx) < 3:
             raise TooFewPoses(
                 f"ATE needs >= 3 matched poses to align, got {len(est_idx)}"
             )
-        S = _fit_rigid(
-            gt.positions[gt_idx], est.positions[est_idx], planar
-        )
-    errors = np.empty(len(est_idx))
-    for k, (i, j) in enumerate(zip(est_idx, gt_idx)):
-        delta = est.poses[i].inverse().compose(S).compose(gt.poses[j])
-        errors[k] = np.hypot(delta.t[0], delta.t[1])
-    return MetricReport.from_errors(errors, dropped=dropped)
+        S = _fit_rigid(gt_pos, est_pos, planar)
+    # trans(T_i^-1 S T_i^gt) = R_i^T (S t_i^gt - t_i)
+    d = np.einsum("nji,nj->ni", est.rotations[est_idx], gt_pos @ S.R.T + S.t - est_pos)
+    return MetricReport.from_errors(np.hypot(d[:, 0], d[:, 1]), dropped=dropped)
 
 
 def rde(est: Trajectory, gt: Trajectory, delta: int = 20) -> MetricReport:
@@ -183,11 +186,12 @@ def rde(est: Trajectory, gt: Trajectory, delta: int = 20) -> MetricReport:
         raise SequenceTooShort(
             f"need more than delta={delta} matched frames, got {n}"
         )
-    errors = np.empty(n - delta)
-    for k in range(n - delta):
-        a = est.poses[est_idx[k]].inverse().compose(est.poses[est_idx[k + delta]])
-        b = gt.poses[gt_idx[k]].inverse().compose(gt.poses[gt_idx[k + delta]])
-        errors[k] = abs(np.hypot(a.t[0], a.t[1]) - np.hypot(b.t[0], b.t[1]))
+    # trans(T_i^-1 T_{i+d}) = R_i^T (t_{i+d} - t_i), estimate and truth stacked
+    t = np.stack([est.positions[est_idx], gt.positions[gt_idx]])
+    R = np.stack([est.rotations[est_idx[:-delta]], gt.rotations[gt_idx[:-delta]]])
+    d = np.einsum("knji,knj->kni", R, t[:, delta:] - t[:, :-delta])
+    moved = np.hypot(d[..., 0], d[..., 1])
+    errors = np.abs(moved[0] - moved[1])
     return MetricReport.from_errors(errors, dropped=dropped)
 
 

@@ -65,8 +65,10 @@ class Intrinsics:
     b: float
 
     def __post_init__(self):
-        for name in ("fx", "fy", "b"):
-            if not getattr(self, name) > 0.0:
+        for name in ("fx", "fy", "cx", "cy", "b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"Intrinsics.{name} must be finite")
+            if name not in ("cx", "cy") and not getattr(self, name) > 0.0:
                 raise ValueError(f"Intrinsics.{name} must be positive")
 
 
@@ -74,8 +76,8 @@ class Intrinsics:
 class PoseSE3:
     """Rigid transform with rotation ``R`` (3x3) and translation ``t`` (3,).
 
-    Arrays are copied, validated (orthonormality and det within 1e-9) and
-    frozen on construction, so a PoseSE3 can be shared safely.
+    Arrays are copied, validated (finite, orthonormality and det within
+    1e-9) and frozen on construction, so a PoseSE3 can be shared safely.
     """
 
     R: np.ndarray
@@ -86,6 +88,8 @@ class PoseSE3:
         t = np.array(self.t, dtype=float)
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("PoseSE3 expects R (3,3) and t (3,)")
+        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+            raise ValueError("PoseSE3 expects finite R and t")
         if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMAL_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
@@ -98,11 +102,6 @@ class PoseSE3:
     @classmethod
     def identity(cls) -> "PoseSE3":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "PoseSE3":
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3], m[:3, 3])
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)

@@ -26,7 +26,6 @@ import pytest
 from normalvo.cli import main
 from normalvo.estimator import (
     FrameData,
-    Keyframe,
     MapState,
     SolverConfig,
     local_bundle_adjustment,
@@ -355,15 +354,7 @@ def _corrupted_two_view(n_landmarks=600, outlier_fraction=0.05, seed=61):
     poses = [PoseSE3.identity(), se3_exp(np.array([0.35, 0.05, 0.0, 0.0, 0.04, 0.0]))]
     ms = MapState(K, config)
     for kf_id, pose in enumerate(poses):
-        ms.keyframes.append(
-            Keyframe(
-                id=kf_id,
-                frame_id=kf_id,
-                timestamp=float(kf_id),
-                pose=pose,
-                fixed=kf_id == 0,
-            )
-        )
+        ms.add_keyframe(kf_id, pose)
 
     total = 2 * n_landmarks
     n_dirty = int(round(outlier_fraction * total))
@@ -384,11 +375,11 @@ def _corrupted_two_view(n_landmarks=600, outlier_fraction=0.05, seed=61):
             meas[kf_id, i] = uvu
             flat += 1
     dirty, clean = set(), set()
-    for kf in ms.keyframes:
-        obs_ids = ms.add_observations(kf.id, np.arange(n_landmarks), meas[kf.id])
-        kf.reference_inliers = n_landmarks
+    for kf_id in range(len(poses)):
+        obs_ids = ms.add_observations(kf_id, np.arange(n_landmarks), meas[kf_id])
         for i, obs_id in enumerate(obs_ids.tolist()):
-            (dirty if len(poses) * i + kf.id in corrupt else clean).add(obs_id)
+            (dirty if len(poses) * i + kf_id in corrupt else clean).add(obs_id)
+    ms.reference_inliers = n_landmarks
     return ms, dirty, clean
 
 

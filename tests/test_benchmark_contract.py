@@ -1,22 +1,27 @@
-"""The package surface the benchmark's tracer relies on.
+"""The package surface the benchmark relies on.
 
 ``benchmarks/tracing.py`` wraps functions by module and name from outside
-the package. A rename there would only show when a traced benchmark pass is
-run; these tests make it fail the ordinary suite instead. The tracer module
-is loaded from its file and only read, never modified. One more test counts
-calls of two of the wrapped kernels, which must stay out of the solver steps.
+the package, and its hooks read some arguments by position.
+``benchmarks/run.py`` feeds ``run_sequence`` a generator of frames, reads the
+result's records, trajectory and map sizes, and clocks ``experiment`` by
+replacing ``normalvo.cli.run_sequence``. A change to any of these would only
+show when a benchmark pass is run, as a pass without a result line; these
+tests make it fail the ordinary suite instead. The tracer module is loaded
+from its file and only read, never modified. One more test counts calls of
+two of the wrapped kernels, which must stay out of the solver steps.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from normalvo import estimator, geometry
+from normalvo import cli, estimator, factors, geometry
 from normalvo.estimator import SolverConfig
 from normalvo.geometry import PoseSE3
 from normalvo.simulator import SceneConfig, generate_sequence
@@ -51,6 +56,24 @@ def test_every_traced_function_resolves(tracing):
         assert callable(getattr(module, func, None)), f"normalvo.{short}.{func}"
 
 
+# (function, position, name) of each argument a tracer hook reads by position
+POSITIONAL_READS = (
+    (estimator.run_sequence, 2, "config"),
+    (estimator.track_frame, 1, "frame"),
+    (estimator.reject_outliers, 2, "obs_ids"),
+    (factors.reprojection_jacobians, 2, "point"),
+)
+
+
+@pytest.mark.parametrize(
+    "func, index, name",
+    POSITIONAL_READS,
+    ids=[func.__name__ for func, _, _ in POSITIONAL_READS],
+)
+def test_tracer_hooks_read_arguments_where_the_signatures_put_them(func, index, name):
+    assert list(inspect.signature(func).parameters)[index] == name
+
+
 @pytest.fixture(scope="module")
 def strip():
     """A 26-frame strip: a run over it takes a fraction of a second."""
@@ -67,6 +90,65 @@ def strip():
             seed=11,
         )
     )
+
+
+def assert_result_surface(result, n_frames):
+    """What the benchmark reads of a finished run: one pose and one record
+    per frame, each record with a keyframe id (or None) and a match count."""
+    assert len(result.trajectory) == len(result.records) == n_frames
+    for rec in result.records:
+        assert rec.keyframe_id is None or isinstance(rec.keyframe_id, int)
+        assert isinstance(rec.matched, int) and rec.matched >= 0
+    assert sum(r.keyframe_id is not None for r in result.records) == len(
+        result.map_state.keyframes
+    )
+
+
+def test_run_takes_frames_from_a_generator(strip):
+    # the benchmark clocks each frame by pulling it through a generator
+    frames = (f for f in strip.frames)
+    result = estimator.run_sequence(frames, strip.intrinsics, SolverConfig())
+    assert_result_surface(result, len(strip.frames))
+
+
+EXPERIMENT_CFG = """\
+landmark_count = 300
+extent_x = 12
+extent_y = 10
+trajectory_shape = line
+trajectory_length = 2
+altitude = 8
+speed = 2.4
+frame_rate = 30
+seed = 11
+seeds = 11
+rde_delta = 5
+"""
+
+
+def test_experiment_runs_the_estimator_through_the_cli_module_global(
+    tmp_path, monkeypatch
+):
+    # the benchmark's experiment pass replaces normalvo.cli.run_sequence to
+    # clock each run and read its map; a call that bypasses that global
+    # leaves the pass without its counts
+    runs = []
+    inner = cli.run_sequence
+
+    def recording(frames, intrinsics, config):
+        frames = list(frames)
+        result = inner(frames, intrinsics, config)
+        runs.append((result, len(frames)))
+        return result
+
+    monkeypatch.setattr(cli, "run_sequence", recording)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(EXPERIMENT_CFG)
+    out = tmp_path / "exp"
+    assert cli.main(["--quiet", "experiment", str(out), "--config", str(cfg)]) == 0
+    assert len(runs) == 2  # one seed, both modes
+    for result, n_frames in runs:
+        assert_result_surface(result, n_frames)
 
 
 def test_tracer_records_layers_and_restores_originals(tracing, strip):

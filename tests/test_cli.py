@@ -243,6 +243,22 @@ def test_run_malformed_measurement_is_a_data_error(
     assert "Traceback" not in proc.stderr
 
 
+def test_run_non_finite_intrinsics_is_a_data_error(dataset, tmp_path):
+    d = _copy_dataset(dataset, tmp_path / "nan-cx")
+    fx, fy, _, cy, b = (d / "intrinsics.txt").read_text().split()
+    (d / "intrinsics.txt").write_text(f"{fx} {fy} nan {cy} {b}\n")
+    out = tmp_path / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normalvo", "--quiet", "run", str(d), str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "error:" in proc.stderr and "cx must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # --- evaluate ---
 
 
@@ -290,6 +306,28 @@ def test_evaluate_nonpositive_delta_is_usage(dataset, estimate, tmp_path):
          str(tmp_path / "r"), "--delta", "0"]
     )
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("field, value", [(0, "nan"), (1, "nan"), (7, "inf")])
+def test_evaluate_non_finite_trajectory_field_is_a_data_error(
+    dataset, estimate, tmp_path, field, value
+):
+    lines = estimate.read_text().splitlines()
+    lineno = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 5
+    parts = lines[lineno].split()
+    parts[field] = value
+    lines[lineno] = " ".join(parts)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "normalvo", "--quiet", "evaluate", str(bad),
+         str(dataset / "traj_gt.txt"), str(tmp_path / "r")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert f"error: {bad}:{lineno + 1}: non-finite field" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_evaluate_malformed_trajectory(dataset, tmp_path):

@@ -170,6 +170,8 @@ def test_constructor_validation_becomes_config_error():
         parse_config("trajectory_shape = zigzag")
     with pytest.raises(ConfigError, match="fx"):
         parse_config("fx = -10")
+    with pytest.raises(ConfigError, match="cx must be finite"):
+        parse_config("cx = nan")
 
 
 def test_run_level_validation():

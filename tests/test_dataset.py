@@ -96,6 +96,17 @@ def test_trajectory_field_count_error_names_line(tmp_path):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("field", [0, 2, 7])  # timestamp, ty, qw
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_trajectory_non_finite_field_error_names_line(tmp_path, field, value):
+    path = tmp_path / "t.txt"
+    record = "1.0 4 5 6 0 0 0 1".split()
+    record[field] = value
+    path.write_text("# header\n0.0 1 2 3 0 0 0 1\n" + " ".join(record) + "\n")
+    with pytest.raises(DataFormatError, match=r"t\.txt:3: non-finite"):
+        load_trajectory(path)
+
+
 def test_trajectory_non_numeric_error_names_line(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("0.0 1 2 three 0 0 0 1\n")

@@ -12,7 +12,6 @@ import pytest
 from normalvo import estimator
 from normalvo.estimator import (
     FrameData,
-    Keyframe,
     MapState,
     SolverConfig,
     SolverDiverged,
@@ -118,17 +117,8 @@ def two_keyframe_map(config, *, n=40, seed=3, with_normal=False, pixel_noise=0.0
     ms = MapState(K, config)
     for kf_id, pose in enumerate([pose0, pose1]):
         normal = None if n_w is None else pose.R @ n_w
-        ms.keyframes.append(
-            Keyframe(
-                id=kf_id,
-                frame_id=kf_id,
-                timestamp=float(kf_id),
-                pose=pose,
-                normal=normal,
-                basis=None if normal is None else make_tangent_basis(normal),
-                fixed=kf_id == 0,
-            )
-        )
+        basis = None if normal is None else make_tangent_basis(normal)
+        ms.add_keyframe(kf_id, pose, normal, basis)
     if n_w is not None:
         ms.world_normal = n_w.copy()
     ms.add_landmarks(np.arange(n), points)
@@ -138,9 +128,9 @@ def two_keyframe_map(config, *, n=40, seed=3, with_normal=False, pixel_noise=0.0
             meas[kf_id, i] = project(K, pose.R @ p + pose.t)
             if pixel_noise:
                 meas[kf_id, i] += rng.normal(0.0, pixel_noise, 3)
-    for kf in ms.keyframes:
-        ms.add_observations(kf.id, np.arange(n), meas[kf.id])
-        kf.reference_inliers = n
+    for kf_id in range(2):
+        ms.add_observations(kf_id, np.arange(n), meas[kf_id])
+    ms.reference_inliers = n
     return ms, points, [pose0, pose1]
 
 
@@ -700,9 +690,7 @@ def test_cull_retires_persistently_rejected_landmarks():
     rng = np.random.default_rng(8)
     points = scatter_points(rng, 3)
     ms = landmark_map(points, config)
-    ms.keyframes.append(
-        Keyframe(id=0, frame_id=0, timestamp=0.0, pose=PoseSE3.identity())
-    )
+    ms.add_keyframe(0, PoseSE3.identity())
     ms.add_observations(0, np.arange(3), project(K, points))
 
     reject = TrackResult(
@@ -741,9 +729,8 @@ def test_cull_retires_persistently_rejected_landmarks():
 def test_keyframe_selection_gap_and_overlap():
     config = SolverConfig()  # gap 5 frames, overlap floor 0.9
     ms = MapState(K, config)
-    kf = Keyframe(id=0, frame_id=10, timestamp=1.0, pose=PoseSE3.identity())
-    kf.reference_inliers = 100
-    ms.keyframes.append(kf)
+    ms.add_keyframe(10, PoseSE3.identity())
+    ms.reference_inliers = 100
     assert select_keyframe(ms, 15, 100, config)  # gap reached
     assert not select_keyframe(ms, 12, 95, config)  # overlap still high
     assert select_keyframe(ms, 12, 89, config)  # overlap decayed
@@ -759,14 +746,14 @@ def test_insert_first_keyframe_triangulates_and_seeds_normal():
     ms = MapState(K, config)
     frame = frame_at(PoseSE3.identity(), points, normal=n0)
 
-    kf = insert_keyframe(ms, frame, PoseSE3.identity(), (), config)
+    kf_id = insert_keyframe(ms, frame, PoseSE3.identity(), (), config)
 
-    assert kf.id == 0 and kf.fixed
+    assert kf_id == 0 and ms.kf_fixed.tolist() == [True]
     assert set(ms.landmarks) == set(range(20))
     for i in range(20):
         np.testing.assert_allclose(position(ms, i), near[i], rtol=0, atol=1e-9)
     np.testing.assert_allclose(ms.world_normal, n0, rtol=0, atol=1e-15)
-    assert kf.reference_inliers == 20
+    assert ms.reference_inliers == 20
     assert ms.normal_init_remaining == config.normal_init_window - 1
     assert ms.normal_active
 
@@ -783,7 +770,8 @@ def test_insert_second_keyframe_links_covisibility():
     kf1 = insert_keyframe(
         ms, frame_at(pose1, points, frame_id=5), pose1, np.arange(25), config
     )
-    assert not kf1.fixed
+    assert kf1 == 1 and ms.kf_fixed.tolist() == [True, False]
+    assert ms.keyframes.tolist() == [0, 5]
     assert ms.covisibility(0)[1] == 25
     assert ms.covisibility(1)[0] == 25
     assert len(ms.landmarks) == 25  # nothing new triangulated
@@ -816,9 +804,7 @@ def test_remove_observation_updates_covisibility_and_orphans():
     config = SolverConfig()
     ms = MapState(K, config)
     for k in range(2):
-        ms.keyframes.append(
-            Keyframe(id=k, frame_id=k, timestamp=float(k), pose=PoseSE3.identity())
-        )
+        ms.add_keyframe(k, PoseSE3.identity())
     ms.add_landmarks([0, 1], [[0.0, 0.0, 5.0], [0.0, 0.0, 6.0]])
     uvu = np.array([[330.0, 240.0, 310.0]] * 2)
     for k in range(2):
@@ -847,9 +833,7 @@ def test_chi_square_boundary_classification():
     rng = np.random.default_rng(19)
     points = scatter_points(rng, 10)
     ms = landmark_map(points, config)
-    ms.keyframes.append(
-        Keyframe(id=0, frame_id=0, timestamp=0.0, pose=PoseSE3.identity(), fixed=True)
-    )
+    ms.add_keyframe(0, PoseSE3.identity())
     uvu = project(K, points)
     uvu[0, 0] += math.sqrt(7.814)  # squared norm lands just below the gate
     uvu[1, 0] += math.sqrt(7.816)  # and this one just above
@@ -901,12 +885,13 @@ def test_map_rejects_arrays_that_do_not_line_up():
     config = SolverConfig()
     ms, _, _ = two_keyframe_map(config, n=3, seed=5)
     uvu = np.array([[330.0, 240.0, 310.0]] * 2)
-    ms.keyframes.append(
-        Keyframe(id=2, frame_id=2, timestamp=2.0, pose=PoseSE3.identity())
-    )
+    ms.add_keyframe(2, PoseSE3.identity())
     before = (ms.obs_kf.copy(), ms.obs_lm.copy(), ms.obs_uvu.copy())
     with pytest.raises(ValueError, match="shape"):
         ms.add_observations(2, [0, 1, 2], uvu)  # 3 landmarks, 2 measurements
+    for kf_id in (3, -1):  # a keyframe the map does not hold
+        with pytest.raises(ValueError, match="no keyframe"):
+            ms.add_observations(kf_id, [0, 1], uvu)
     with pytest.raises(ValueError, match="out of range"):
         ms.remove_observations([-1])  # no negative indexing from the end
     with pytest.raises(ValueError, match="out of range"):
@@ -936,9 +921,7 @@ def test_observation_index_matches_a_scan_through_adds_culls_and_compaction():
     ms = MapState(K, SolverConfig())
     compacted = False
     for kf_id in range(12):
-        ms.keyframes.append(
-            Keyframe(id=kf_id, frame_id=kf_id, timestamp=0.0, pose=PoseSE3.identity())
-        )
+        ms.add_keyframe(kf_id, PoseSE3.identity())
         fresh = np.arange(6 * kf_id, 6 * kf_id + 6)
         old = rng.choice(ms.landmarks, size=min(4, ms.landmarks.size), replace=False)
         ms.add_landmarks(fresh, rng.uniform(1.0, 5.0, (6, 3)))
@@ -967,9 +950,7 @@ def test_ba_problem_selects_the_rows_of_the_old_scan():
     # keyframe after a newer one
     config = SolverConfig()
     ms = ba_test_map(config)
-    ms.keyframes.append(
-        Keyframe(id=3, frame_id=3, timestamp=3.0, pose=ms.keyframes[2].pose)
-    )
+    ms.add_keyframe(3, PoseSE3(ms.kf_R[2], ms.kf_t[2]))
     ms.add_observations(3, [0, 1, 2], ms.obs_uvu[:3])
     ms.remove_observations([obs_row(ms, 1, 5), obs_row(ms, 2, 7)])
     ms.add_landmarks([12], [[0.1, 0.2, 6.0]])
@@ -1010,15 +991,8 @@ def ba_test_map(config):
     ms, _, poses = two_keyframe_map(
         config, n=12, seed=24, with_normal=True, pixel_noise=0.5
     )
-    ms.keyframes.append(
-        Keyframe(
-            id=2,
-            frame_id=2,
-            timestamp=2.0,
-            pose=se3_exp(0.5 * SECOND_TWIST).compose(poses[1]),
-        )
-    )
-    pose2 = ms.keyframes[2].pose
+    pose2 = se3_exp(0.5 * SECOND_TWIST).compose(poses[1])
+    ms.add_keyframe(2, pose2)
     ms.add_observations(2, np.arange(12), project(K, ms.lm_pos @ pose2.R.T + pose2.t))
     return ms
 
@@ -1116,9 +1090,9 @@ def test_ba_perfect_map_is_a_fixed_point():
     assert report.accepted_steps == 0
     assert report.removed_observations == 0
     assert report.cost_final < 1e-18
-    np.testing.assert_array_equal(ms.keyframes[0].pose.R, np.eye(3))
-    np.testing.assert_array_equal(ms.keyframes[1].pose.R, poses[1].R)
-    np.testing.assert_array_equal(ms.keyframes[1].pose.t, poses[1].t)
+    np.testing.assert_array_equal(ms.kf_R[0], np.eye(3))
+    np.testing.assert_array_equal(ms.kf_R[1], poses[1].R)
+    np.testing.assert_array_equal(ms.kf_t[1], poses[1].t)
     for i in range(40):
         np.testing.assert_array_equal(position(ms, i), points[i])
 
@@ -1126,7 +1100,7 @@ def test_ba_perfect_map_is_a_fixed_point():
 def test_ba_landmark_only_recovery_with_all_poses_fixed():
     config = SolverConfig()
     ms, points, _ = two_keyframe_map(config, n=40, seed=12)
-    ms.keyframes[1].fixed = True
+    ms.kf_fixed[1] = True
     rng = np.random.default_rng(13)
     for i in range(40):
         ms.lm_pos[landmark_row(ms, i)] += rng.uniform(-0.008, 0.008, 3)
@@ -1146,14 +1120,15 @@ def test_ba_pose_recovery_keeps_gauge_anchor_untouched():
     true_pose1 = poses[1]
     # small enough that no exact observation crosses the rejection gate
     twist = np.array([0.002, -0.0015, 0.001, 0.0005, -0.001, 0.00075])
-    ms.keyframes[1].pose = se3_exp(twist).compose(true_pose1)
+    start = se3_exp(twist).compose(true_pose1)
+    ms.kf_R[1], ms.kf_t[1] = start.R, start.t
 
     report = local_bundle_adjustment(ms, 1, config)
 
-    np.testing.assert_array_equal(ms.keyframes[0].pose.R, np.eye(3))
-    np.testing.assert_array_equal(ms.keyframes[0].pose.t, np.zeros(3))
-    np.testing.assert_allclose(ms.keyframes[1].pose.R, true_pose1.R, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(ms.keyframes[1].pose.t, true_pose1.t, rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(ms.kf_R[0], np.eye(3))
+    np.testing.assert_array_equal(ms.kf_t[0], np.zeros(3))
+    np.testing.assert_allclose(ms.kf_R[1], true_pose1.R, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ms.kf_t[1], true_pose1.t, rtol=0, atol=1e-6)
     assert report.cost_final <= 1e-10
 
 
@@ -1172,7 +1147,7 @@ def test_ba_rejection_removes_labeled_outliers_only():
         assert observers(ms, lm_id) == {0}
     for lm_id in range(6, 60):
         assert observers(ms, lm_id) == {0, 1}
-    np.testing.assert_allclose(ms.keyframes[1].pose.t, poses[1].t, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(ms.kf_t[1], poses[1].t, rtol=0, atol=1e-6)
     assert_map_consistent(ms)
 
 
@@ -1204,21 +1179,22 @@ def reference_map_cost(map_state, config):
     sqrt_lam = math.sqrt(config.loss.normal_weight)
     total = 0.0
     for kf_id in kf_ids:
-        kf = map_state.keyframes[kf_id]
+        pose = PoseSE3(map_state.kf_R[kf_id], map_state.kf_t[kf_id])
+        normal, basis = map_state.kf_normal[kf_id], map_state.kf_basis[kf_id]
         for obs_id in np.flatnonzero(map_state.obs_kf == kf_id):
             p = position(map_state, int(map_state.obs_lm[obs_id]))
             r = (
-                project(K, transform_point(kf.pose, p))
+                project(K, transform_point(pose, p))
                 - map_state.obs_uvu[obs_id]
             ) * inv_sigma
             total += float(huber(np.linalg.norm(r), config.loss.huber_delta_repro)[0])
         if (
             config.loss.normal_weight > 0.0
-            and kf.basis is not None
+            and not np.isnan(normal).any()
             and map_state.world_normal is not None
         ):
             rn = sqrt_lam * normal_residual(
-                kf.basis, kf.pose.R, map_state.world_normal, kf.normal
+                basis, pose.R, map_state.world_normal, normal
             )
             total += float(
                 huber(np.linalg.norm(rn), config.loss.huber_delta_normal)[0]
@@ -1242,8 +1218,8 @@ def test_ba_vectorized_cost_matches_reference_loop():
     # the solver state is one stacked row per keyframe of all_kf_ids
     assert problem.R.shape == (2, 3, 3) and problem.t.shape == (2, 3)
     for row, k in enumerate(problem.all_kf_ids):
-        np.testing.assert_array_equal(problem.R[row], ms.keyframes[k].pose.R)
-        np.testing.assert_array_equal(problem.t[row], ms.keyframes[k].pose.t)
+        np.testing.assert_array_equal(problem.R[row], ms.kf_R[k])
+        np.testing.assert_array_equal(problem.t[row], ms.kf_t[k])
     evaluation = problem.evaluate(problem.R, problem.t, problem.points, problem.n_w)
     assert evaluation.cost == pytest.approx(reference, rel=1e-12)
     assert map_cost(ms, config) == pytest.approx(reference, rel=1e-12)
@@ -1262,16 +1238,8 @@ def test_ba_vectorized_cost_matches_reference_loop():
 
     solo = MapState(K, config)
     solo.world_normal = ms.world_normal
-    solo.keyframes.append(
-        Keyframe(
-            id=0,
-            frame_id=2,
-            timestamp=2.0,
-            pose=result.pose,
-            normal=normal,
-            basis=make_tangent_basis(normal),
-        )
-    )
+    basis = make_tangent_basis(normal)
+    solo.add_keyframe(2, result.pose, normal, basis)
     solo.add_landmarks(ids, points)
     solo.add_observations(0, ids, meas)
     assert result.cost == pytest.approx(reference_map_cost(solo, config), rel=1e-12)
@@ -1280,9 +1248,8 @@ def test_ba_vectorized_cost_matches_reference_loop():
 def test_map_cost_of_a_map_without_observations_is_its_normal_terms():
     config = SolverConfig()
     ms, _, poses = two_keyframe_map(config, n=5, seed=17, with_normal=True)
-    ms.keyframes[1].pose = se3_exp(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0])).compose(
-        poses[1]
-    )
+    tilted = se3_exp(np.array([0.0, 0.0, 0.0, 0.01, 0.0, 0.0])).compose(poses[1])
+    ms.kf_R[1], ms.kf_t[1] = tilted.R, tilted.t
     ms.remove_observations(ms.observations)
     assert ms.landmarks.size == 0
 
@@ -1538,6 +1505,35 @@ def test_coasting_streak_that_ends_the_run(clean_seq, extra):
         assert rec.matched == 0 and rec.keyframe_id is None
 
 
+def test_run_output_holds_final_keyframe_poses_and_tracked_poses(noisy_seq):
+    # a noisy run that inserts keyframes and coasts over two blank frames:
+    # a keyframe's output pose is its final map pose, any other frame's is
+    # the pose tracking (or coasting) gave it, both camera-to-world
+    frames = list(noisy_seq.frames)
+    for fid in (30, 31):
+        frames[fid] = _blank_frame(noisy_seq, fid)
+    result = run_sequence(frames, noisy_seq.intrinsics, SolverConfig())
+    ms = result.map_state
+
+    keyframe_records = [r for r in result.records if r.keyframe_id is not None]
+    assert [r.keyframe_id for r in keyframe_records] == list(range(len(ms.keyframes)))
+    assert [r.frame_id for r in keyframe_records] == ms.keyframes.tolist()
+    assert len(ms.keyframes) > 2
+    assert [r.matched for r in result.records[30:32]] == [0, 0]
+    assert len(result.trajectory) == len(result.records) == len(frames)
+    moved = 0
+    for rec, pose in zip(result.records, result.trajectory.poses):
+        if rec.keyframe_id is None:
+            expected = rec.tracked_pose.inverse()
+        else:
+            k = rec.keyframe_id
+            expected = PoseSE3(ms.kf_R[k], ms.kf_t[k]).inverse()
+            moved += not np.array_equal(expected.t, rec.tracked_pose.inverse().t)
+        np.testing.assert_array_equal(pose.R, expected.R)
+        np.testing.assert_array_equal(pose.t, expected.t)
+    assert moved > 0  # bundle adjustment moved keyframes off their tracked poses
+
+
 def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):
     # a noisy strip whose run inserts keyframes, culls landmarks in tracking
     # and rejects observations in bundle adjustment
@@ -1589,8 +1585,8 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     report = local_bundle_adjustment(ms, last, config)
     assert report.free_poses > 0
     assert report == local_bundle_adjustment(uncompacted, last, config)
-    for a, b in zip(ms.keyframes, uncompacted.keyframes):
-        np.testing.assert_array_equal(a.pose.matrix(), b.pose.matrix())
+    np.testing.assert_array_equal(ms.kf_R, uncompacted.kf_R)
+    np.testing.assert_array_equal(ms.kf_t, uncompacted.kf_t)
     np.testing.assert_array_equal(ms.landmarks, uncompacted.landmarks)
     np.testing.assert_array_equal(ms.lm_pos, uncompacted.lm_pos)
     assert_map_consistent(ms)

@@ -47,6 +47,13 @@ def test_trajectory_rejects_nonincreasing_timestamps():
         Trajectory(np.array([0.0, 0.2]), poses)
 
 
+@pytest.mark.parametrize("stamp", [np.nan, np.inf])
+def test_trajectory_rejects_non_finite_timestamps(stamp):
+    poses = [PoseSE3.identity()] * 3
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(np.array([0.0, stamp, 0.4]), poses)
+
+
 def test_align_identity_when_equal():
     traj = random_trajectory(np.random.default_rng(0), 12)
     S = align(traj, traj)
@@ -201,6 +208,46 @@ def test_rde_invariant_under_z_rotation_and_translation():
         )
         moved = rde(transformed(est, Ge), transformed(gt, Gg), delta=7)
         assert np.allclose(moved.errors, base.errors, atol=1e-9)
+
+
+def reference_ate_errors(est, gt, S):
+    """ATE per matched frame as a loop of pose products, the reference the
+    vectorized metric is checked against."""
+    est_idx, gt_idx, _ = associate(est, gt)
+    errors = []
+    for i, j in zip(est_idx, gt_idx):
+        delta = est.poses[i].inverse().compose(S).compose(gt.poses[j])
+        errors.append(np.hypot(delta.t[0], delta.t[1]))
+    return np.array(errors)
+
+
+def reference_rde_errors(est, gt, delta):
+    """RDE per start frame as a loop of pose products."""
+    est_idx, gt_idx, _ = associate(est, gt)
+    errors = []
+    for k in range(len(est_idx) - delta):
+        a = est.poses[est_idx[k]].inverse().compose(est.poses[est_idx[k + delta]])
+        b = gt.poses[gt_idx[k]].inverse().compose(gt.poses[gt_idx[k + delta]])
+        errors.append(abs(np.hypot(a.t[0], a.t[1]) - np.hypot(b.t[0], b.t[1])))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ate_and_rde_match_the_pose_product_loops(seed):
+    # the metrics stack rotations instead of composing poses frame by frame;
+    # the sums run in another order, so agreement is to rounding (1e-12 m on
+    # metre-scale trajectories), with an unmatched estimate frame dropped
+    rng = np.random.default_rng(seed)
+    gt = random_trajectory(rng, 60, rot_scale=1.0)
+    est = random_trajectory(rng, 61, rot_scale=1.0)
+    est = Trajectory(np.append(gt.timestamps, 9.0), est.poses)
+    S = align(est, gt)
+    expected = reference_ate_errors(est, gt, S)
+    np.testing.assert_allclose(ate(est, gt, S=S).errors, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ate(est, gt).errors, expected, rtol=0, atol=1e-12)
+    expected = reference_rde_errors(est, gt, 7)
+    got = rde(est, gt, delta=7).errors
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_rde_sequence_too_short():

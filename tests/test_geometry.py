@@ -62,6 +62,27 @@ def test_pose_rejects_non_orthonormal_rotation():
         PoseSE3(R, np.zeros(3))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["R", "t"])
+def test_pose_rejects_non_finite_entries(part, value):
+    # a NaN passes every tolerance comparison, and an inf makes R^T R
+    # invalid; both must fail before any arithmetic warns
+    R, t = np.eye(3), np.zeros(3)
+    (R if part == "R" else t)[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        PoseSE3(R, t)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_intrinsics_reject_non_finite_fields(field, value):
+    fields = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, b=0.2)
+    Intrinsics(**fields)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Intrinsics(**fields)
+
+
 def test_compose_inverse_roundtrip():
     rng = np.random.default_rng(7)
     for xi in random_twists(rng, 50):
