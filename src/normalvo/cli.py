@@ -11,10 +11,11 @@ import argparse
 import csv
 import dataclasses
 import logging
-import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, RunConfig, format_config, format_float, load_config
 from .dataset import (
@@ -114,7 +115,7 @@ def _normal_term_count(map_state, solver) -> int:
     """Keyframes contributing a surface factor to the final map cost."""
     if solver.loss.normal_weight <= 0.0 or map_state.world_normal is None:
         return 0
-    return sum(1 for n in map_state.kf_normal[:, 0] if not math.isnan(n))
+    return np.count_nonzero(~np.isnan(map_state.kf_normal[:, 0]))
 
 
 def cmd_run(args) -> int:
@@ -433,16 +434,10 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except _DATA_ERRORS as err:
+    except (*_DATA_ERRORS, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except TrackingLost as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    except SolverDiverged as err:
+    except (TrackingLost, SolverDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ESTIMATOR
 

@@ -35,6 +35,7 @@ from .factors import (
 from .geometry import (
     Intrinsics,
     PoseSE3,
+    check_finite,
     project,
     triangulate,
     update_poses,
@@ -85,6 +86,7 @@ class SolverConfig:
     loss: RobustLossConfig = field(default_factory=RobustLossConfig)
 
     def __post_init__(self):
+        check_finite(self)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         for name in (
@@ -428,6 +430,46 @@ def _predicted_decrease(g, d, h, lam) -> float:
     return float(lam * ((h * d) @ h) - g @ h)
 
 
+def _damped_step(config, lam, cost, g, d, solve, trial):
+    """One Levenberg-Marquardt step (Madsen, Nielsen and Tingleff, "Methods
+    for Non-Linear Least Squares Problems", 2004), the only damping loop of
+    tracking and bundle adjustment, from gradient ``g`` and Hessian diagonal
+    ``d`` at ``cost``.
+
+    The damping rises until ``solve(lam)`` returns a finite step ``h`` (a
+    LinAlgError is a failed solve). The solve has converged when ``h`` is
+    shorter than ``step_tolerance`` or its :func:`_predicted_decrease` is
+    below ``cost_tolerance`` times ``cost``. Otherwise ``trial(h)`` builds
+    the stepped state, a tuple ending in its :class:`_Evaluation`: a lower
+    cost is accepted and relaxes the damping, and any other raises it.
+    Returns ``(lam, state, converged)``: ``state`` is the accepted trial,
+    None when no step was taken (converged, or damping past its ceiling);
+    an accepted step has converged if its relative decrease is below
+    ``cost_tolerance``.
+    """
+    while lam <= config.damping_ceiling:
+        try:
+            h = solve(lam)
+        except np.linalg.LinAlgError:
+            h = None
+        if h is None or not np.all(np.isfinite(h)):
+            lam *= config.damping_increase
+            continue
+        if (
+            np.linalg.norm(h) < config.step_tolerance
+            or _predicted_decrease(g, d, h, lam) < config.cost_tolerance * cost
+        ):
+            return lam, None, True
+        state = trial(h)
+        new_cost = state[-1].cost
+        if new_cost < cost:
+            rel = (cost - new_cost) / max(cost, 1e-300)
+            lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
+            return lam, state, rel < config.cost_tolerance
+        lam *= config.damping_increase
+    return lam, None, False
+
+
 def track_frame(
     map_state: MapState,
     frame: FrameData,
@@ -440,10 +482,8 @@ def track_frame(
     Minimizes the robust sum of whitened reprojection residuals over the
     mapped subset of the frame's observations, plus the weighted normal
     residual when a world normal and a frame normal are both available.
-    The solve stops once the decrease that the damped model predicts for
-    the next step (:func:`_predicted_decrease`), or the decrease an accepted
-    step achieved, falls below ``cost_tolerance`` times the cost; bundle
-    adjustment stops the same way.
+    Each step is a :func:`_damped_step`, whose stopping rule bundle
+    adjustment shares.
     Raises TrackingLost when fewer than the minimum observations match or
     when the post-fit inlier fraction falls below the configured floor.
     """
@@ -480,6 +520,13 @@ def track_frame(
     if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
 
+    def solve(lam):
+        return np.linalg.solve(H + np.diag(lam * d), -g)
+
+    def trial(h):
+        new_R, new_t = update_poses(h[None], R[None], t[None])
+        return new_R[0], new_t[0], evaluate(new_R[0], new_t[0])
+
     lam = config.initial_damping
     for _ in range(config.max_iterations):
         Jp = reprojection_pose_jacobian(K, ev.pc).reshape(-1, 6) / config.sigma_px
@@ -492,37 +539,11 @@ def track_frame(
             )
             H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
             g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
-
-        accepted = False
-        converged = False
         d = H.diagonal()
-        while lam <= config.damping_ceiling:
-            damped = H + np.diag(lam * d)
-            try:
-                step = np.linalg.solve(damped, -g)
-            except np.linalg.LinAlgError:
-                lam *= config.damping_increase
-                continue
-            if not np.all(np.isfinite(step)):
-                lam *= config.damping_increase
-                continue
-            if np.linalg.norm(step) < config.step_tolerance:
-                converged = True
-                break
-            if _predicted_decrease(g, d, step, lam) < config.cost_tolerance * ev.cost:
-                converged = True
-                break
-            new_R, new_t = update_poses(step[None], R[None], t[None])
-            new_ev = evaluate(new_R[0], new_t[0])
-            if new_ev.cost < ev.cost:
-                rel = (ev.cost - new_ev.cost) / max(ev.cost, 1e-300)
-                R, t, ev = new_R[0], new_t[0], new_ev
-                lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
-                accepted = True
-                converged = rel < config.cost_tolerance
-                break
-            lam *= config.damping_increase
-        if converged or not accepted:
+        lam, state, converged = _damped_step(config, lam, ev.cost, g, d, solve, trial)
+        if state is not None:
+            R, t, ev = state
+        if converged or state is None:
             break
 
     inlier_mask = ev.sq <= config.chi2_threshold
@@ -884,7 +905,6 @@ def local_bundle_adjustment(
     accepted = 0
     iterations = 0
     removed_total = 0
-    any_accept = False
 
     def run_rejection() -> int:
         nonlocal problem, removed_total
@@ -899,6 +919,22 @@ def local_bundle_adjustment(
             problem = _BAProblem(map_state, problem.window_ids, config)
         return removed
 
+    def solve(lam):
+        return np.concatenate([x.ravel() for x in _ba_solve(Hpp, gp, Hll, gl, W, lam)])
+
+    def trial(h):
+        # one batched update of every free pose
+        split = 6 * len(problem.free_ids)
+        dp, dl = h[:split].reshape(-1, 6), h[split:].reshape(-1, 3)
+        new_R, new_t = problem.R.copy(), problem.t.copy()
+        rows = problem.free_rows
+        new_R[rows], new_t[rows] = update_poses(dp, problem.R[rows], problem.t[rows])
+        L = len(problem.lm_ids)
+        new_points = problem.points + dl[:L]
+        new_nw = problem.n_w + dl[L] if problem.nw_active else problem.n_w
+        new_ev = problem.evaluate(new_R, new_t, new_points, new_nw)
+        return new_R, new_t, new_points, new_nw, new_ev
+
     # behind-camera observations come out with infinite residuals, so this
     # pass also clears any state the solver could not even linearize
     run_rejection()
@@ -909,68 +945,25 @@ def local_bundle_adjustment(
         iterations += 1
         Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
         g = np.concatenate([gp.ravel(), gl.ravel()])
-        d = np.concatenate(
-            [
-                Hpp.diagonal(axis1=1, axis2=2).ravel(),
-                Hll.diagonal(axis1=1, axis2=2).ravel(),
-            ]
+        d = np.concatenate([B.diagonal(axis1=1, axis2=2).ravel() for B in (Hpp, Hll)])
+        lam, state, converged = _damped_step(
+            config, lam, problem.ev.cost, g, d, solve, trial
         )
-
-        step_accepted = False
-        converged = False
-        while lam <= config.damping_ceiling:
-            try:
-                dp, dl = _ba_solve(Hpp, gp, Hll, gl, W, lam)
-            except np.linalg.LinAlgError:
-                lam *= config.damping_increase
-                continue
-            if not (np.all(np.isfinite(dp)) and np.all(np.isfinite(dl))):
-                lam *= config.damping_increase
-                continue
-            h = np.concatenate([dp.ravel(), dl.ravel()])
-            if np.linalg.norm(h) < config.step_tolerance:
-                converged = True
-                break
-            predicted = _predicted_decrease(g, d, h, lam)
-            if predicted < config.cost_tolerance * problem.ev.cost:
-                converged = True
-                break
-            # one batched update of every free pose
-            new_R, new_t = problem.R.copy(), problem.t.copy()
-            rows = problem.free_rows
-            new_R[rows], new_t[rows] = update_poses(dp, problem.R[rows], problem.t[rows])
-            L = len(problem.lm_ids)
-            new_points = problem.points + dl[:L]
-            new_nw = problem.n_w
-            if problem.nw_active:
-                new_nw = problem.n_w + dl[L]
-            new_ev = problem.evaluate(new_R, new_t, new_points, new_nw)
-            if new_ev.cost < problem.ev.cost:
-                rel = (problem.ev.cost - new_ev.cost) / max(problem.ev.cost, 1e-300)
-                problem.R, problem.t = new_R, new_t
-                problem.points = new_points
-                problem.n_w = new_nw
-                problem.ev = new_ev
-                lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
-                accepted += 1
-                any_accept = True
-                step_accepted = True
-                converged = rel < config.cost_tolerance
-                logger.debug(
-                    "ba[%d]: iter %d accepted cost %.9g",
-                    current_kf_id,
-                    accepted,
-                    new_ev.cost,
-                )
-                break
-            lam *= config.damping_increase
-
-        if not step_accepted and not converged and not any_accept:
+        if state is not None:
+            problem.R, problem.t, problem.points, problem.n_w, problem.ev = state
+            accepted += 1
+            logger.debug(
+                "ba[%d]: iter %d accepted cost %.9g",
+                current_kf_id,
+                accepted,
+                problem.ev.cost,
+            )
+        elif not converged and not accepted:
             raise SolverDiverged(
                 f"bundle adjustment at keyframe {current_kf_id}: damping ceiling "
                 f"{config.damping_ceiling:g} reached without an accepted step"
             )
-        if converged or not step_accepted:
+        if converged or state is None:
             if final_pass_done:
                 break
             final_pass_done = True

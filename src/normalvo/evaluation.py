@@ -90,31 +90,24 @@ def associate(est: Trajectory, gt: Trajectory):
     Returns (est_indices, gt_indices, n_dropped) with strictly increasing
     matches; raises TimestampMismatch when nothing lines up at all.
     """
-    if len(gt) >= 2:
-        tol = 0.5 * float(np.median(np.diff(gt.timestamps)))
-    else:
-        tol = 0.5
-    gt_ts = gt.timestamps
-    est_idx, gt_idx = [], []
-    used = -1
-    for i, t in enumerate(est.timestamps):
-        j = int(np.searchsorted(gt_ts, t))
-        best, best_dt = None, tol
-        for cand in (j - 1, j):
-            if 0 <= cand < len(gt_ts):
-                dt = abs(gt_ts[cand] - t)
-                if dt <= best_dt:
-                    best, best_dt = cand, dt
-        if best is not None and best > used:
-            est_idx.append(i)
-            gt_idx.append(best)
-            used = best
-    if not est_idx:
+    tol = 0.5 * float(np.median(np.diff(gt.timestamps))) if len(gt) >= 2 else 0.5
+    ts = est.timestamps
+    gt_ts = np.append(gt.timestamps, np.inf)  # a sentinel that matches nothing
+    after = np.searchsorted(gt_ts, ts)
+    before = np.maximum(after - 1, 0)
+    dt_before, dt_after = np.abs(gt_ts[before] - ts), np.abs(gt_ts[after] - ts)
+    best = np.where(dt_after <= dt_before, after, before)  # ties go later
+    near = np.flatnonzero(np.minimum(dt_before, dt_after) <= tol)
+    if not near.size:
         raise TimestampMismatch(
             "no ground-truth pose within half a frame period of any estimate"
         )
+    # estimates increase, so their nearest poses never decrease: each pose
+    # keeps its first estimate
+    gt_idx, first = np.unique(best[near], return_index=True)
+    est_idx = near[first]
     dropped = (len(est) - len(est_idx)) + (len(gt) - len(gt_idx))
-    return np.array(est_idx), np.array(gt_idx), dropped
+    return est_idx, gt_idx, dropped
 
 
 def _fit_rigid(src: np.ndarray, dst: np.ndarray, planar: bool) -> PoseSE3:

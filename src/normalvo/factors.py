@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Intrinsics, NonPositiveDepth, PoseSE3, skew
+from .geometry import Intrinsics, NonPositiveDepth, PoseSE3, check_finite, skew
 
 _I3 = np.eye(3)
 
@@ -36,6 +36,7 @@ class RobustLossConfig:
     normal_weight: float = 1.0e4
 
     def __post_init__(self):
+        check_finite(self)
         if self.huber_delta_repro <= 0.0 or self.huber_delta_normal <= 0.0:
             raise ValueError("Huber deltas must be positive")
         if self.normal_weight < 0.0:

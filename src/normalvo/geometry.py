@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,15 @@ def _vee(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def check_finite(settings) -> None:
+    """Raise ValueError naming the first float field of dataclass
+    ``settings`` that is NaN or infinite. Its module must postpone
+    annotations, so that a field's type reads as the string ``"float"``."""
+    for f in fields(settings):
+        if f.type == "float" and not math.isfinite(getattr(settings, f.name)):
+            raise ValueError(f"{type(settings).__name__}.{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """Rectified stereo camera: shared pinhole intrinsics plus baseline [m]."""
@@ -65,10 +74,9 @@ class Intrinsics:
     b: float
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy", "b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"Intrinsics.{name} must be finite")
-            if name not in ("cx", "cy") and not getattr(self, name) > 0.0:
+        check_finite(self)
+        for name in ("fx", "fy", "b"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"Intrinsics.{name} must be positive")
 
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import FrameData
-from .geometry import DEFAULT_MIN_DISPARITY, Intrinsics, PoseSE3, project, so3_exp
+from .geometry import (
+    DEFAULT_MIN_DISPARITY,
+    Intrinsics,
+    PoseSE3,
+    check_finite,
+    project,
+    so3_exp,
+)
 
 #: Spacing between lawn-mower lanes [m]; turns are semicircles of half this.
 LANE_PITCH = 7.0
@@ -55,6 +62,7 @@ class SceneConfig:
     image_height: int = 449
 
     def __post_init__(self):
+        check_finite(self)
         if self.landmark_count < 3:
             raise ValueError("landmark_count must be at least 3")
         for name in ("extent_x", "extent_y", "trajectory_length", "altitude",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 
 from normalvo import cli, estimator, factors, geometry
 from normalvo.estimator import SolverConfig
+from normalvo.evaluation import Trajectory, ate, rde
 from normalvo.geometry import PoseSE3
 from normalvo.simulator import SceneConfig, generate_sequence
 
@@ -109,6 +111,17 @@ def test_run_takes_frames_from_a_generator(strip):
     frames = (f for f in strip.frames)
     result = estimator.run_sequence(frames, strip.intrinsics, SolverConfig())
     assert_result_surface(result, len(strip.frames))
+
+
+def test_a_run_and_its_metrics_write_nothing_to_stdout(strip, capsys):
+    # the benchmark's result is the last line of its standard output, and a
+    # NaN metric prints there as null: a run must neither print after it nor
+    # end without its metrics
+    result = estimator.run_sequence(strip.frames, strip.intrinsics, SolverConfig())
+    gt = Trajectory(strip.timestamps, list(strip.poses))
+    metrics = ate(result.trajectory, gt).rmse, rde(result.trajectory, gt, delta=20).mean
+    assert capsys.readouterr().out == ""
+    assert all(math.isfinite(m) for m in metrics)
 
 
 EXPERIMENT_CFG = """\

@@ -259,6 +259,26 @@ def test_run_non_finite_intrinsics_is_a_data_error(dataset, tmp_path):
     assert not out.exists()
 
 
+def test_run_non_finite_solver_setting_is_a_data_error(dataset, tmp_path):
+    # a NaN sigma that reached the estimator would end the run as a
+    # tracking failure (exit 3), blaming the estimator for the input
+    d = _copy_dataset(dataset, tmp_path / "nan-sigma")
+    lines = (d / "config_used.txt").read_text().splitlines()
+    at = [line.split(" = ")[0] for line in lines].index("sigma_px")
+    lines[at] = "sigma_px = nan"
+    (d / "config_used.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "normalvo", "--quiet", "run", str(d), str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "error:" in proc.stderr and "sigma_px must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # --- evaluate ---
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from normalvo.config import (
     ConfigError,
+    _REGISTRY,
     RunConfig,
     default_config_text,
     format_config,
@@ -172,6 +173,18 @@ def test_constructor_validation_becomes_config_error():
         parse_config("fx = -10")
     with pytest.raises(ConfigError, match="cx must be finite"):
         parse_config("cx = nan")
+
+
+FLOAT_KEYS = [entry.name for entry in _REGISTRY if entry.kind == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_settings_are_config_errors(key, value):
+    # a NaN slips past every ordered comparison and an infinite damping
+    # ceiling lets the damping loop run forever: both are refused by name
+    with pytest.raises(ConfigError, match=rf"\b{key} must be finite"):
+        parse_config(f"{key} = {value}")
 
 
 def test_run_level_validation():

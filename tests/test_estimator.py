@@ -682,6 +682,47 @@ def test_track_at_the_damping_ceiling_keeps_its_start_pose(monkeypatch):
         track_frame(ms, frame, config, prev_pose=far)
 
 
+def test_track_retries_a_singular_solve_with_more_damping(monkeypatch):
+    # a solve that raises LinAlgError has failed: the same linearization is
+    # solved again at damping_increase times the damping, and tracking goes
+    # on to the frame's pose
+    config = SolverConfig()
+    rng = np.random.default_rng(17)
+    points = scatter_points(rng, 40)
+    ms = landmark_map(points, config)
+    w2c = se3_exp(np.array([0.1, 0.0, 0.05, 0.0, 0.01, 0.0]))
+    frame = frame_at(w2c, points, frame_id=3)
+    start = PoseSE3(w2c.R, w2c.t + np.array([0.05, -0.02, 0.03]))
+    solves = []
+    original_solve = np.linalg.solve
+
+    def singular_once(a, b):
+        solves.append((np.array(a), np.array(b)))
+        if len(solves) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    result = track_frame(ms, frame, config, prev_pose=start)
+
+    (a0, b0), (a1, b1) = solves[:2]
+    off = ~np.eye(6, dtype=bool)
+    np.testing.assert_array_equal(a1[off], a0[off])
+    np.testing.assert_array_equal(b1, b0)
+    # diag(H) (1 + lam): the retry's lam is damping_increase times the first
+    lam = config.initial_damping
+    np.testing.assert_allclose(
+        np.diag(a1) / (1.0 + config.damping_increase * lam),
+        np.diag(a0) / (1.0 + lam),
+        rtol=1e-14,
+    )
+    assert len(solves) > 2  # the solve went on past the retried step
+    # from 6 cm off, the exact measurements pull it to within 1e-6
+    np.testing.assert_allclose(result.pose.R, w2c.R, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-6)
+    assert result.inlier_ids.size == 40
+
+
 # --- landmark culling ---------------------------------------------------------
 
 
@@ -1075,6 +1116,33 @@ def test_ba_at_the_damping_ceiling_raises_solver_diverged(monkeypatch):
         local_bundle_adjustment(ms, 2, config)
     assert lams[0] == config.initial_damping
     assert lams[-1] <= config.damping_ceiling < lams[-1] * config.damping_increase
+
+
+def test_ba_retries_a_singular_solve_with_more_damping(monkeypatch):
+    # a Schur solve that raises LinAlgError has failed: the same blocks are
+    # solved again at damping_increase times the damping, and the bundle
+    # adjustment goes on to lower the cost
+    config = SolverConfig(covisibility_min_shared=1)
+    ms = ba_test_map(config)
+    calls = []
+    original_solve = estimator._ba_solve
+
+    def singular_once(Hpp, gp, Hll, gl, W, lam):
+        calls.append(((Hpp, gp, Hll, gl, W), lam))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original_solve(Hpp, gp, Hll, gl, W, lam)
+
+    monkeypatch.setattr(estimator, "_ba_solve", singular_once)
+    report = local_bundle_adjustment(ms, 2, config)
+
+    (blocks0, lam0), (blocks1, lam1) = calls[:2]
+    for block0, block1 in zip(blocks0, blocks1):
+        np.testing.assert_array_equal(block1, block0)
+    assert lam0 == config.initial_damping
+    assert lam1 == lam0 * config.damping_increase
+    assert report.accepted_steps > 0
+    assert report.cost_final < report.cost_initial
 
 
 def test_ba_perfect_map_is_a_fixed_point():

@@ -281,6 +281,66 @@ def test_associate_drops_unmatched_and_counts():
     assert dropped == 6
 
 
+def reference_associate(est, gt):
+    """Reference: one searchsorted and up to two candidates per estimate,
+    ties to the later pose, each pose matched by its first estimate."""
+    tol = 0.5 * float(np.median(np.diff(gt.timestamps))) if len(gt) >= 2 else 0.5
+    gt_ts = gt.timestamps
+    est_idx, gt_idx = [], []
+    used = -1
+    for i, t in enumerate(est.timestamps):
+        j = int(np.searchsorted(gt_ts, t))
+        best, best_dt = None, tol
+        for cand in (j - 1, j):
+            if 0 <= cand < len(gt_ts):
+                dt = abs(gt_ts[cand] - t)
+                if dt <= best_dt:
+                    best, best_dt = cand, dt
+        if best is not None and best > used:
+            est_idx.append(i)
+            gt_idx.append(best)
+            used = best
+    if not est_idx:
+        raise TimestampMismatch("no match")
+    dropped = (len(est) - len(est_idx)) + (len(gt) - len(gt_idx))
+    return np.array(est_idx), np.array(gt_idx), dropped
+
+
+def random_stamps(rng, n, grid):
+    """Strictly increasing timestamps: on a dyadic grid with holes, where
+    midpoints and half-period gaps are exact, or jittered with long gaps."""
+    if grid:
+        step = 2.0 ** -int(rng.integers(1, 4))
+        return step * np.sort(rng.choice(3 * n, size=n, replace=False))
+    gaps = rng.uniform(0.02, 0.12, n) * np.where(rng.random(n) < 0.1, 5.0, 1.0)
+    return rng.uniform(-0.5, 0.5) + np.cumsum(gaps)
+
+
+def test_associate_matches_the_reference_loop_on_random_trajectories():
+    rng = np.random.default_rng(29)
+    identity = PoseSE3.identity()
+    outcomes = set()
+    for _ in range(1500):
+        grid = rng.random() < 0.4
+        stamps = [random_stamps(rng, int(rng.integers(1, 60)), grid) for _ in "ab"]
+        if rng.random() < 0.1:
+            stamps[0] = stamps[0] + 100.0  # no overlap
+        est, gt = (Trajectory(ts, [identity] * len(ts)) for ts in stamps)
+        try:
+            expected = reference_associate(est, gt)
+        except TimestampMismatch:
+            with pytest.raises(TimestampMismatch):
+                associate(est, gt)
+            outcomes.add("mismatch")
+            continue
+        est_idx, gt_idx, dropped = associate(est, gt)
+        np.testing.assert_array_equal(est_idx, expected[0])
+        np.testing.assert_array_equal(gt_idx, expected[1])
+        assert dropped == expected[2]
+        outcomes.add("dropped" if dropped else "all matched")
+    assert outcomes == {"mismatch", "dropped", "all matched"}
+
+
 def test_associate_disjoint_raises():
     gt = make_trajectory(np.zeros((4, 3)), t0=0.0, dt=0.1)
     est = make_trajectory(np.zeros((4, 3)), t0=100.0, dt=0.1)
