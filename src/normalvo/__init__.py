@@ -61,7 +61,6 @@ from .factors import (
     normal_jacobian,
     normal_residual,
     reprojection_jacobians,
-    reprojection_residual,
 )
 from .geometry import (
     DegenerateDisparity,
@@ -137,7 +136,6 @@ __all__ = [
     "report_csv",
     "report_table",
     "reprojection_jacobians",
-    "reprojection_residual",
     "rotation_to_quat",
     "run_sequence",
     "save_config",

@@ -345,8 +345,12 @@ class MapState:
         return ids[np.lexsort((ids, -shared[ids]))].tolist()
 
 
-def _extrapolate(prev: PoseSE3 | None, prev_prev: PoseSE3 | None):
-    """:func:`constant_velocity_init` on arrays: ``(R, t)``, unvalidated."""
+def _extrapolate(prev, prev_prev):
+    """Extrapolated pose ``prev * prev_prev^-1 * prev`` as unvalidated
+    ``(R, t)``: ``prev`` without ``prev_prev``, identity without either. A
+    pose is anything holding ``R`` and ``t``, a PoseSE3 or a FrameRecord.
+    The rotation gets the polar step of :func:`update_poses`, so
+    orthonormality error cannot compound."""
     if prev is None:
         return np.eye(3), np.zeros(3)
     if prev_prev is None:
@@ -358,22 +362,23 @@ def _extrapolate(prev: PoseSE3 | None, prev_prev: PoseSE3 | None):
     return 1.5 * R - 0.5 * (R @ (R.T @ R)), R_step @ prev.t + t_step
 
 
-def constant_velocity_init(
-    prev: PoseSE3 | None = None, prev_prev: PoseSE3 | None = None
-) -> PoseSE3:
-    """Extrapolated pose ``prev * prev_prev^-1 * prev``: ``prev`` without
-    ``prev_prev``, identity without either. Its rotation gets the polar step
-    of :func:`update_poses`, so orthonormality error cannot compound."""
+def constant_velocity_init(prev=None, prev_prev=None) -> PoseSE3:
+    """:func:`_extrapolate`, validated as a PoseSE3."""
     return PoseSE3(*_extrapolate(prev, prev_prev))
 
 
 @dataclass(frozen=True)
 class TrackResult:
-    pose: PoseSE3
+    R: np.ndarray  # the tracked world-to-camera pose, unvalidated
+    t: np.ndarray
     inlier_ids: np.ndarray
     outlier_ids: np.ndarray
     matched: int
     cost: float
+
+    @property
+    def pose(self) -> PoseSE3:
+        return PoseSE3(self.R, self.t)
 
 
 @dataclass(frozen=True)
@@ -474,10 +479,11 @@ def track_frame(
     map_state: MapState,
     frame: FrameData,
     config: SolverConfig,
-    prev_pose: PoseSE3 | None = None,
-    prev_prev_pose: PoseSE3 | None = None,
+    prev_pose=None,
+    prev_prev_pose=None,
 ) -> TrackResult:
-    """Damped Gauss-Newton on the frame pose alone, landmarks fixed.
+    """Damped Gauss-Newton on the frame pose alone, landmarks fixed, from
+    the :func:`_extrapolate` of the two previous poses.
 
     Minimizes the robust sum of whitened reprojection residuals over the
     mapped subset of the frame's observations, plus the weighted normal
@@ -566,7 +572,8 @@ def track_frame(
         ev.cost,
     )
     return TrackResult(
-        pose=PoseSE3(R, t),
+        R=R,
+        t=t,
         inlier_ids=matched_ids[inlier_mask],
         outlier_ids=matched_ids[~inlier_mask],
         matched=int(matched_ids.size),
@@ -1000,9 +1007,14 @@ class FrameRecord:
     frame_id: int
     timestamp: float
     keyframe_id: int | None
-    tracked_pose: PoseSE3
+    R: np.ndarray  # the world-to-camera pose as tracked or coasted
+    t: np.ndarray
     matched: int
     inliers: int
+
+    @property
+    def tracked_pose(self) -> PoseSE3:
+        return PoseSE3(self.R, self.t)
 
 
 @dataclass(frozen=True)
@@ -1039,6 +1051,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
         if not map_state.keyframes.size:
             pose = PoseSE3.identity()
             kf_id = insert_keyframe(map_state, frame, pose, (), config)
+            R, t = pose.R, pose.t
             matched = inliers = map_state.reference_inliers
         else:
             try:
@@ -1065,7 +1078,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     lost_streak,
                     config.max_track_failures,
                 )
-                pose = constant_velocity_init(prev_pose, prev_prev_pose)
+                R, t = _extrapolate(prev_pose, prev_prev_pose)
                 matched = inliers = 0
             else:
                 lost_streak = 0
@@ -1077,19 +1090,21 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                         map_state, frame, result.pose, result.inlier_ids, config
                     )
                     local_bundle_adjustment(map_state, kf_id, config)
-                pose = result.pose
+                R, t = result.R, result.t
                 matched, inliers = result.matched, int(result.inlier_ids.size)
         records.append(
-            FrameRecord(frame.frame_id, frame.timestamp, kf_id, pose, matched, inliers)
+            FrameRecord(frame.frame_id, frame.timestamp, kf_id, R, t, matched, inliers)
         )
-        prev_prev_pose, prev_pose = prev_pose, pose
+        # the motion model reads the poses of the last two records
+        prev_prev_pose, prev_pose = prev_pose, records[-1]
 
     # keyframes leave with their final bundle-adjusted poses; their ids run
     # 0..K-1 in record order
-    R = np.array([rec.tracked_pose.R for rec in records]).reshape(-1, 3, 3)
-    t = np.array([rec.tracked_pose.t for rec in records]).reshape(-1, 3)
+    R = np.array([rec.R for rec in records]).reshape(-1, 3, 3)
+    t = np.array([rec.t for rec in records]).reshape(-1, 3)
     is_kf = np.array([rec.keyframe_id is not None for rec in records], dtype=bool)
     R[is_kf], t[is_kf] = map_state.kf_R, map_state.kf_t
-    poses = [PoseSE3(R_i.T, -R_i.T @ t_i) for R_i, t_i in zip(R, t)]
-    timestamps = [rec.timestamp for rec in records]
-    return RunResult(Trajectory(timestamps, poses), map_state, records)
+    R_inv = np.swapaxes(R, 1, 2)  # camera-to-world is (R^T, -R^T t)
+    stamps = [rec.timestamp for rec in records]
+    trajectory = Trajectory(stamps, R=R_inv, t=(-R_inv @ t[..., None])[..., 0])
+    return RunResult(trajectory, map_state, records)

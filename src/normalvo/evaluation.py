@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3
+from .geometry import PoseSE3, check_poses
 
 
 class TooFewPoses(ValueError):
@@ -28,32 +28,47 @@ class SequenceTooShort(ValueError):
     """Trajectory shorter than the relative-error frame gap."""
 
 
-@dataclass
 class Trajectory:
-    """Ordered (timestamp, camera-to-world pose) records."""
+    """Ordered (timestamp, camera-to-world pose) records as read-only arrays:
+    ``timestamps`` (N,), rotations ``R`` (N, 3, 3) and translations ``t``
+    (N, 3), validated as one batch with the checks of :class:`PoseSE3`.
+    Built from PoseSE3 records, ``Trajectory(timestamps, poses)``, or from
+    the stacks, ``Trajectory(timestamps, R=R, t=t)``."""
 
-    timestamps: np.ndarray
-    poses: list[PoseSE3]
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        if len(self.timestamps) != len(self.poses):
+    def __init__(self, timestamps, poses=None, *, R=None, t=None):
+        if poses is not None:
+            poses = list(poses)
+            R = np.array([p.R for p in poses]).reshape(-1, 3, 3)
+            t = np.array([p.t for p in poses]).reshape(-1, 3)
+        self.timestamps = np.array(timestamps, dtype=float)
+        self.R, self.t = np.array(R, dtype=float), np.array(t, dtype=float)
+        if self.R.shape[1:] != (3, 3) or self.t.shape != (len(self.R), 3):
+            raise ValueError("Trajectory expects R (N, 3, 3) and t (N, 3)")
+        if len(self.R) != len(self.timestamps):
             raise ValueError("timestamps and poses disagree in length")
+        check_poses(self.R, self.t)
         if not np.isfinite(self.timestamps).all():
             raise ValueError("timestamps must be finite")
-        if len(self.timestamps) > 1 and np.any(np.diff(self.timestamps) <= 0.0):
+        if len(self.R) > 1 and np.any(np.diff(self.timestamps) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
+        for a in (self.timestamps, self.R, self.t):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.timestamps)
+
+    @property
+    def poses(self) -> list[PoseSE3]:
+        """The records as PoseSE3, built on each access."""
+        return [PoseSE3(R, t) for R, t in zip(self.R, self.t)]
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([p.t for p in self.poses])
+        return self.t
 
     @property
     def rotations(self) -> np.ndarray:
-        return np.array([p.R for p in self.poses]).reshape(-1, 3, 3)
+        return self.R
 
 
 @dataclass(frozen=True)

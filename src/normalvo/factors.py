@@ -83,16 +83,6 @@ def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:
     return np.array([[u, v, w], [p / norm, q / norm, r / norm]])
 
 
-def reprojection_residual(
-    K: Intrinsics, pose: PoseSE3, point: np.ndarray, measured: np.ndarray
-) -> np.ndarray:
-    """pi(R p + t) - (uL, v, uR); batched over leading axis when given (N,3)."""
-    from .geometry import project, transform_point
-
-    pc = transform_point(pose, point)
-    return project(K, pc) - np.asarray(measured, dtype=float)
-
-
 def reprojection_pose_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     """Jacobian (N, 3, 6) of the reprojection residual with respect to the
     pose twist, at camera-frame points ``pc`` (N, 3) in front of the camera.

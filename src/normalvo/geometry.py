@@ -96,12 +96,7 @@ class PoseSE3:
         t = np.array(self.t, dtype=float)
         if R.shape != (3, 3) or t.shape != (3,):
             raise ValueError("PoseSE3 expects R (3,3) and t (3,)")
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("PoseSE3 expects finite R and t")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > _ORTHONORMAL_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
+        check_poses(R, t)
         R.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "R", R)
@@ -123,6 +118,18 @@ class PoseSE3:
 
     def inverse(self) -> "PoseSE3":
         return PoseSE3(self.R.T, -self.R.T @ self.t)
+
+
+def check_poses(R: np.ndarray, t: np.ndarray) -> None:
+    """Raise ValueError unless rotations ``R`` (..., 3, 3) and translations
+    ``t`` (..., 3) are finite and every rotation is orthonormal with
+    determinant +1, both within 1e-9: the checks of :class:`PoseSE3`."""
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise ValueError("pose rotation and translation must be finite")
+    if np.any(np.abs(np.swapaxes(R, -1, -2) @ R - _I3) > _ORTHONORMAL_TOL):
+        raise ValueError("rotation is not orthonormal within 1e-9")
+    if np.any(np.abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL):
+        raise ValueError("rotation determinant is not +1 within 1e-9")
 
 
 def transform_point(pose: PoseSE3, p: np.ndarray) -> np.ndarray:
@@ -163,14 +170,6 @@ def so3_log(R: np.ndarray) -> np.ndarray:
             axis = -axis
         return angle * axis
     return (angle / s) * sin_vec
-
-
-def _left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """V matrix coupling the rotational twist into the translation of exp.
-
-    Batched like :func:`so3_exp`: (..., 3) -> (..., 3, 3).
-    """
-    return _exp_and_left_jacobian(phi)[1]
 
 
 def _exp_coefficients(a2: float):
@@ -363,14 +362,16 @@ def rotation_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix from an (x, y, z, w) quaternion (normalized here)."""
+    """Rotation matrix from an (x, y, z, w) quaternion (normalized here);
+    batched over leading axes, (..., 4) -> (..., 3, 3)."""
     q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q)
-    x, y, z, w = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    # each row's norm as a 1x4 @ 4x1 product, which numpy computes with the
+    # dot np.linalg.norm uses on one vector: the same bits for one or many
+    q = q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    x, y, z, w = np.moveaxis(q, -1, 0)
+    R = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.moveaxis(np.array(R), (0, 1), (-2, -1))

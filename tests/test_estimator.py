@@ -735,7 +735,8 @@ def test_cull_retires_persistently_rejected_landmarks():
     ms.add_observations(0, np.arange(3), project(K, points))
 
     reject = TrackResult(
-        pose=PoseSE3.identity(),
+        R=np.eye(3),
+        t=np.zeros(3),
         inlier_ids=np.array([0, 1]),
         outlier_ids=np.array([2]),
         matched=3,
@@ -747,7 +748,8 @@ def test_cull_retires_persistently_rejected_landmarks():
 
     # one clean re-acceptance pardons the streak
     pardon = TrackResult(
-        pose=PoseSE3.identity(),
+        R=np.eye(3),
+        t=np.zeros(3),
         inlier_ids=np.array([2]),
         outlier_ids=np.array([], dtype=int),
         matched=3,
@@ -1600,6 +1602,26 @@ def test_run_output_holds_final_keyframe_poses_and_tracked_poses(noisy_seq):
         np.testing.assert_array_equal(pose.R, expected.R)
         np.testing.assert_array_equal(pose.t, expected.t)
     assert moved > 0  # bundle adjustment moved keyframes off their tracked poses
+
+
+def test_run_builds_at_most_one_pose_per_keyframe_and_coasted_frame(noisy_seq, monkeypatch):
+    # tracked poses, records and the output trajectory stay arrays; a pose
+    # is validated as a PoseSE3 only where it enters the map
+    frames = list(noisy_seq.frames)
+    for fid in (30, 31):
+        frames[fid] = _blank_frame(noisy_seq, fid)
+    built = []
+    original = PoseSE3.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PoseSE3, "__post_init__", counting)
+    result = run_sequence(frames, noisy_seq.intrinsics, SolverConfig())
+    coasted = sum(r.keyframe_id is None and r.matched == 0 for r in result.records)
+    assert coasted == 2
+    assert 0 < len(built) <= len(result.map_state.keyframes) + coasted
 
 
 def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):

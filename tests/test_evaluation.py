@@ -54,6 +54,55 @@ def test_trajectory_rejects_non_finite_timestamps(stamp):
         Trajectory(np.array([0.0, stamp, 0.4]), poses)
 
 
+def _stacks(rng, n):
+    R = so3_exp(rng.normal(scale=0.5, size=(n, 3)))
+    return np.arange(n) * 0.1, R, rng.normal(size=(n, 3))
+
+
+def test_trajectory_arrays_round_trip_through_poses():
+    stamps, R, t = _stacks(np.random.default_rng(2), 7)
+    traj = Trajectory(stamps, R=R, t=t)
+    assert np.array_equal(traj.rotations, R) and np.array_equal(traj.positions, t)
+    poses = traj.poses
+    assert all(isinstance(p, PoseSE3) for p in poses)
+    back = Trajectory(traj.timestamps, poses)
+    for name in ("timestamps", "R", "t"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name))
+    assert len(back) == 7
+
+
+def test_trajectory_arrays_are_read_only_copies():
+    stamps, R, t = _stacks(np.random.default_rng(3), 4)
+    traj = Trajectory(stamps, R=R, t=t)
+    t[0] = 99.0
+    assert traj.t[0, 0] != 99.0
+    with pytest.raises(ValueError):
+        traj.positions[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda R, t: R.__setitem__((2, 0, 0), R[2, 0, 0] + 1e-6), "orthonormal"),
+        (lambda R, t: R.__setitem__((1,), -R[1]), "determinant"),
+        (lambda R, t: t.__setitem__((3, 1), np.nan), "finite"),
+    ],
+)
+def test_trajectory_validates_every_pose_like_pose_se3(corrupt, message):
+    stamps, R, t = _stacks(np.random.default_rng(4), 5)
+    corrupt(R, t)
+    with pytest.raises(ValueError, match=message):
+        Trajectory(stamps, R=R, t=t)
+
+
+def test_trajectory_rejects_misshapen_stacks():
+    stamps, R, t = _stacks(np.random.default_rng(5), 5)
+    with pytest.raises(ValueError, match="disagree in length"):
+        Trajectory(stamps[:4], R=R, t=t)
+    with pytest.raises(ValueError, match=r"expects R \(N, 3, 3\)"):
+        Trajectory(stamps, R=R, t=t[:4])
+
+
 def test_align_identity_when_equal():
     traj = random_trajectory(np.random.default_rng(0), 12)
     S = align(traj, traj)

@@ -10,9 +10,15 @@ from normalvo.factors import (
     normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
-    reprojection_residual,
 )
-from normalvo.geometry import Intrinsics, PoseSE3, se3_exp, so3_exp
+from normalvo.geometry import (
+    Intrinsics,
+    PoseSE3,
+    project,
+    se3_exp,
+    so3_exp,
+    transform_point,
+)
 
 K = Intrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, b=0.05)
 FD_STEP = 1e-6
@@ -28,6 +34,12 @@ def random_pose(rng, max_angle=0.5):
 def random_unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def reprojection_residual(K, pose, point, measured):
+    """Reference residual pi(R p + t) - (uL, v, uR), batched over a leading
+    axis of ``point`` and ``measured``."""
+    return project(K, transform_point(pose, point)) - np.asarray(measured, dtype=float)
 
 
 # --- tangent basis ---------------------------------------------------------

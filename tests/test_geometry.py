@@ -9,7 +9,7 @@ from normalvo.geometry import (
     NearPiRotationWarning,
     NonPositiveDepth,
     PoseSE3,
-    _left_jacobian,
+    _exp_and_left_jacobian,
     apply_update,
     nearest_rotation,
     project,
@@ -198,7 +198,7 @@ def test_batched_update_matches_scalar_path_on_every_branch():
     t = np.array([p.t for p in bases])
 
     new_R, new_t = update_poses(xi, R, t)
-    V = _left_jacobian(xi[:, 3:])
+    V = _exp_and_left_jacobian(xi[:, 3:])[1]
 
     for i in range(angles.size):
         # V's angle-dependent terms are O(angle) and O(angle^2): scale the
