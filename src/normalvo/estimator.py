@@ -346,11 +346,7 @@ class MapState:
 
 
 def _extrapolate(prev, prev_prev):
-    """Extrapolated pose ``prev * prev_prev^-1 * prev`` as unvalidated
-    ``(R, t)``: ``prev`` without ``prev_prev``, identity without either. A
-    pose is anything holding ``R`` and ``t``, a PoseSE3 or a FrameRecord.
-    The rotation gets the polar step of :func:`update_poses`, so
-    orthonormality error cannot compound."""
+    """:func:`constant_velocity_init` on arrays: ``(R, t)``, unvalidated."""
     if prev is None:
         return np.eye(3), np.zeros(3)
     if prev_prev is None:
@@ -363,7 +359,11 @@ def _extrapolate(prev, prev_prev):
 
 
 def constant_velocity_init(prev=None, prev_prev=None) -> PoseSE3:
-    """:func:`_extrapolate`, validated as a PoseSE3."""
+    """Extrapolated pose ``prev * prev_prev^-1 * prev``: ``prev`` without
+    ``prev_prev``, identity without either. A pose here is anything holding
+    ``R`` and ``t``, such as a PoseSE3 or a TrackResult. Its rotation gets
+    the polar step of :func:`update_poses`, so orthonormality error cannot
+    compound."""
     return PoseSE3(*_extrapolate(prev, prev_prev))
 
 
@@ -482,8 +482,7 @@ def track_frame(
     prev_pose=None,
     prev_prev_pose=None,
 ) -> TrackResult:
-    """Damped Gauss-Newton on the frame pose alone, landmarks fixed, from
-    the :func:`_extrapolate` of the two previous poses.
+    """Damped Gauss-Newton on the frame pose alone, landmarks fixed.
 
     Minimizes the robust sum of whitened reprojection residuals over the
     mapped subset of the frame's observations, plus the weighted normal
@@ -1051,7 +1050,6 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
         if not map_state.keyframes.size:
             pose = PoseSE3.identity()
             kf_id = insert_keyframe(map_state, frame, pose, (), config)
-            R, t = pose.R, pose.t
             matched = inliers = map_state.reference_inliers
         else:
             try:
@@ -1078,7 +1076,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     lost_streak,
                     config.max_track_failures,
                 )
-                R, t = _extrapolate(prev_pose, prev_prev_pose)
+                pose = constant_velocity_init(prev_pose, prev_prev_pose)
                 matched = inliers = 0
             else:
                 lost_streak = 0
@@ -1090,13 +1088,14 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                         map_state, frame, result.pose, result.inlier_ids, config
                     )
                     local_bundle_adjustment(map_state, kf_id, config)
-                R, t = result.R, result.t
+                pose = result  # its R and t, unvalidated, serve as the pose
                 matched, inliers = result.matched, int(result.inlier_ids.size)
         records.append(
-            FrameRecord(frame.frame_id, frame.timestamp, kf_id, R, t, matched, inliers)
+            FrameRecord(
+                frame.frame_id, frame.timestamp, kf_id, pose.R, pose.t, matched, inliers
+            )
         )
-        # the motion model reads the poses of the last two records
-        prev_prev_pose, prev_pose = prev_pose, records[-1]
+        prev_prev_pose, prev_pose = prev_pose, pose
 
     # keyframes leave with their final bundle-adjusted poses; their ids run
     # 0..K-1 in record order
