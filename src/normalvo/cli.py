@@ -121,8 +121,8 @@ def _normal_term_count(map_state, solver) -> int:
 def cmd_run(args) -> int:
     if args.no_normal and args.normal_weight is not None:
         return _usage_error("--no-normal and --lambda contradict each other")
-    if args.normal_weight is not None and args.normal_weight < 0.0:
-        return _usage_error("--lambda must be non-negative")
+    if args.normal_weight is not None and not 0.0 <= args.normal_weight < np.inf:
+        return _usage_error("--lambda must be finite and non-negative")
     ds = load_dataset(args.dataset)
     weight = ds.config.solver.loss.normal_weight
     if args.no_normal:

@@ -63,6 +63,13 @@ class QuaternionNormWarning(UserWarning):
     """An input quaternion was off unit length beyond the read tolerance."""
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as err:
+        raise DataFormatError(f"cannot read {path}: {err.strerror}") from err
+
+
 # --- trajectory files ---
 
 
@@ -78,10 +85,7 @@ def save_trajectory(path, trajectory: Trajectory, header: str = "") -> None:
 
 def load_trajectory(path) -> Trajectory:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}") from err
+    text = _read_text(path)
     rows, records = [], []
     failure = None  # the first record that does not parse ends the read
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,10 +209,7 @@ def write_dataset(dirpath, sequence, cfg: RunConfig) -> Path:
 
 def _csv_rows(path: Path, header: tuple):
     """Yield (lineno, row) for every data row, after checking the header."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}") from err
+    text = _read_text(path)
     rows = list(csv.reader(text.splitlines()))
     if not rows or tuple(rows[0]) != header:
         raise DataFormatError(
@@ -235,10 +236,7 @@ def _field(path: Path, lineno: int, text: str, kind, label: str):
 
 def load_intrinsics(path) -> Intrinsics:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as err:
-        raise DataFormatError(f"cannot read {path}: {err.strerror}") from err
+    text = _read_text(path)
     data_lines = [
         (n, ln.strip())
         for n, ln in enumerate(text.splitlines(), start=1)

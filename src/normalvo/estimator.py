@@ -172,17 +172,18 @@ class MapState:
     normal) and gauge flags ``kf_fixed``. ``reference_inliers`` counts the
     observations of the newest keyframe.
 
-    Landmarks are four arrays aligned by row: ids ``landmarks``, ascending,
-    positions ``lm_pos`` (N, 3), ``lm_misses``, the consecutive tracking
-    rejections (reset on acceptance), and ``lm_nobs``, the number of live
-    observations. :meth:`landmark_rows` maps ids to rows.
+    Landmarks are three arrays aligned by row: ids ``landmarks``, ascending,
+    positions ``lm_pos`` (N, 3) and ``lm_misses``, the consecutive tracking
+    rejections (reset on acceptance). A landmark is deleted with its last
+    live observation. :meth:`landmark_rows` maps ids to rows.
 
     Observations are three parallel arrays: keyframe id ``obs_kf``, landmark
     id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
     row; removal sets its ``obs_kf`` to -1. Once such dead rows outnumber
     the live ones, the removal drops them, keeping the live rows in order,
     so an id is only valid until the next removal. :meth:`observation_rows`
-    reads them through an index of the rows by landmark, then keyframe.
+    reads them through an index of the rows by landmark, then keyframe; it
+    is also how a removal finds the landmarks it left unobserved.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
@@ -190,7 +191,6 @@ class MapState:
 
     def __init__(self, intrinsics: Intrinsics, config: SolverConfig):
         self.intrinsics = intrinsics
-        self.config = config
         self.keyframes = np.zeros(0, dtype=int)
         self.kf_R = np.zeros((0, 3, 3))
         self.kf_t = np.zeros((0, 3))
@@ -201,7 +201,6 @@ class MapState:
         self.landmarks = np.zeros(0, dtype=int)
         self.lm_pos = np.zeros((0, 3))
         self.lm_misses = np.zeros(0, dtype=int)
-        self.lm_nobs = np.zeros(0, dtype=int)
         self.obs_kf = np.zeros(0, dtype=int)
         self.obs_lm = np.zeros(0, dtype=int)
         self.obs_uvu = np.zeros((0, 3))
@@ -273,7 +272,6 @@ class MapState:
         self.landmarks = np.insert(self.landmarks, at, ids)
         self.lm_pos = np.insert(self.lm_pos, at, positions, axis=0)
         self.lm_misses = np.insert(self.lm_misses, at, 0)
-        self.lm_nobs = np.insert(self.lm_nobs, at, 0)
 
     def add_observations(self, kf_id: int, landmark_ids, uvu) -> np.ndarray:
         """Record measurements ``uvu`` (N, 3) of existing landmarks from existing
@@ -289,7 +287,6 @@ class MapState:
         rows = self.landmark_rows(ids)
         if np.any(rows < 0):
             raise KeyError(f"no landmark {ids[rows < 0][0]}")
-        self.lm_nobs[rows] += 1
         start = self.obs_kf.size
         if self._by_lm is not None and kf_id == self.keyframes.size - 1:
             # no row has a later keyframe: merge the new rows in last
@@ -314,15 +311,13 @@ class MapState:
         obs_ids = obs_ids[self.obs_kf[obs_ids] >= 0]
         self.obs_kf[obs_ids] = -1
         self._dead += obs_ids.size
-        touched, counts = np.unique(self.obs_lm[obs_ids], return_counts=True)
-        rows = np.searchsorted(self.landmarks, touched)
-        self.lm_nobs[rows] -= counts
-        orphans = rows[self.lm_nobs[rows] == 0]
+        touched = np.unique(self.obs_lm[obs_ids])
+        orphans = np.setdiff1d(touched, self.obs_lm[self.observation_rows(touched)])
         if orphans.size:
-            self.landmarks = np.delete(self.landmarks, orphans)
-            self.lm_pos = np.delete(self.lm_pos, orphans, axis=0)
-            self.lm_misses = np.delete(self.lm_misses, orphans)
-            self.lm_nobs = np.delete(self.lm_nobs, orphans)
+            rows = np.searchsorted(self.landmarks, orphans)
+            self.landmarks = np.delete(self.landmarks, rows)
+            self.lm_pos = np.delete(self.lm_pos, rows, axis=0)
+            self.lm_misses = np.delete(self.lm_misses, rows)
         if 2 * self._dead > self.obs_kf.size:
             live = self.obs_kf >= 0
             self.obs_kf = self.obs_kf[live]
@@ -345,8 +340,12 @@ class MapState:
         return ids[np.lexsort((ids, -shared[ids]))].tolist()
 
 
-def _extrapolate(prev, prev_prev):
-    """:func:`constant_velocity_init` on arrays: ``(R, t)``, unvalidated."""
+def constant_velocity_init(prev=None, prev_prev=None):
+    """Extrapolated pose ``prev * prev_prev^-1 * prev`` as ``(R, t)`` arrays,
+    unvalidated: ``prev`` without ``prev_prev``, identity without either. A
+    pose here is anything holding ``R`` and ``t``, such as a PoseSE3, a
+    TrackResult or a FrameRecord. Its rotation gets the polar step of
+    :func:`update_poses`, so orthonormality error cannot compound."""
     if prev is None:
         return np.eye(3), np.zeros(3)
     if prev_prev is None:
@@ -356,15 +355,6 @@ def _extrapolate(prev, prev_prev):
     t_step = prev.R @ (-R_inv @ prev_prev.t) + prev.t
     R = R_step @ prev.R
     return 1.5 * R - 0.5 * (R @ (R.T @ R)), R_step @ prev.t + t_step
-
-
-def constant_velocity_init(prev=None, prev_prev=None) -> PoseSE3:
-    """Extrapolated pose ``prev * prev_prev^-1 * prev``: ``prev`` without
-    ``prev_prev``, identity without either. A pose here is anything holding
-    ``R`` and ``t``, such as a PoseSE3 or a TrackResult. Its rotation gets
-    the polar step of :func:`update_poses`, so orthonormality error cannot
-    compound."""
-    return PoseSE3(*_extrapolate(prev, prev_prev))
 
 
 @dataclass(frozen=True)
@@ -520,7 +510,7 @@ def track_frame(
         return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
 
     # the pose is held as one (3, 3), (3,) pair while it is solved
-    R, t = _extrapolate(prev_pose, prev_prev_pose)
+    R, t = constant_velocity_init(prev_pose, prev_prev_pose)
     ev = evaluate(R, t)
     if not np.isfinite(ev.cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
@@ -1042,7 +1032,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
     """
     map_state = MapState(intrinsics, config)
     records = []
-    prev_pose = prev_prev_pose = None
+    prev = prev_prev = None  # the last two records: the motion history
     lost_streak = 0
     streak_start = None
     for frame in frames:
@@ -1050,15 +1040,14 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
         if not map_state.keyframes.size:
             pose = PoseSE3.identity()
             kf_id = insert_keyframe(map_state, frame, pose, (), config)
+            R, t = pose.R, pose.t
             matched = inliers = map_state.reference_inliers
         else:
             try:
                 try:
-                    result = track_frame(
-                        map_state, frame, config, prev_pose, prev_prev_pose
-                    )
+                    result = track_frame(map_state, frame, config, prev, prev_prev)
                 except TrackingLost:
-                    result = track_frame(map_state, frame, config, prev_pose, None)
+                    result = track_frame(map_state, frame, config, prev, None)
                     logger.debug(
                         "frame %d: recovered from previous pose", frame.frame_id
                     )
@@ -1076,7 +1065,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     lost_streak,
                     config.max_track_failures,
                 )
-                pose = constant_velocity_init(prev_pose, prev_prev_pose)
+                R, t = constant_velocity_init(prev, prev_prev)
                 matched = inliers = 0
             else:
                 lost_streak = 0
@@ -1088,14 +1077,12 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                         map_state, frame, result.pose, result.inlier_ids, config
                     )
                     local_bundle_adjustment(map_state, kf_id, config)
-                pose = result  # its R and t, unvalidated, serve as the pose
+                R, t = result.R, result.t
                 matched, inliers = result.matched, int(result.inlier_ids.size)
-        records.append(
-            FrameRecord(
-                frame.frame_id, frame.timestamp, kf_id, pose.R, pose.t, matched, inliers
-            )
+        prev_prev, prev = prev, FrameRecord(
+            frame.frame_id, frame.timestamp, kf_id, R, t, matched, inliers
         )
-        prev_prev_pose, prev_pose = prev_pose, pose
+        records.append(prev)
 
     # keyframes leave with their final bundle-adjusted poses; their ids run
     # 0..K-1 in record order

@@ -106,12 +106,6 @@ class PoseSE3:
     def identity(cls) -> "PoseSE3":
         return cls(np.eye(3), np.zeros(3))
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.R
-        m[:3, 3] = self.t
-        return m
-
     def compose(self, other: "PoseSE3") -> "PoseSE3":
         """self * other (apply ``other`` first)."""
         return PoseSE3(self.R @ other.R, self.R @ other.t + self.t)
@@ -130,12 +124,6 @@ def check_poses(R: np.ndarray, t: np.ndarray) -> None:
         raise ValueError("rotation is not orthonormal within 1e-9")
     if np.any(np.abs(np.linalg.det(R) - 1.0) > _ORTHONORMAL_TOL):
         raise ValueError("rotation determinant is not +1 within 1e-9")
-
-
-def transform_point(pose: PoseSE3, p: np.ndarray) -> np.ndarray:
-    """Apply a pose to one point (3,) or a batch (N, 3)."""
-    p = np.asarray(p, dtype=float)
-    return p @ pose.R.T + pose.t
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:

@@ -47,10 +47,10 @@ from normalvo.geometry import (
     se3_exp,
     se3_log,
     so3_exp,
-    transform_point,
     triangulate,
 )
 from normalvo.simulator import SceneConfig, generate_sequence
+from pose_reference import transform_point
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, b=0.2)
 

@@ -147,9 +147,11 @@ def test_run_contradictory_flags(dataset, tmp_path, capsys):
     assert "contradict" in capsys.readouterr().err
 
 
-def test_run_negative_lambda(dataset, tmp_path):
+@pytest.mark.parametrize("weight", ["-3", "nan", "inf", "-inf"])
+def test_run_negative_lambda(dataset, tmp_path, weight):
+    # "=" keeps argparse from reading "-inf" as an option
     rc = main(
-        ["--quiet", "run", str(dataset), str(tmp_path / "x.txt"), "--lambda", "-3"]
+        ["--quiet", "run", str(dataset), str(tmp_path / "x.txt"), f"--lambda={weight}"]
     )
     assert rc == EXIT_USAGE
 

@@ -47,10 +47,10 @@ from normalvo.geometry import (
     project,
     se3_exp,
     so3_exp,
-    transform_point,
     update_poses,
 )
 from normalvo.simulator import SceneConfig, generate_sequence
+from pose_reference import transform_point
 
 K = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, b=0.2)
 
@@ -187,8 +187,7 @@ def assert_map_consistent(ms, min_shared=1):
     assert np.all(np.diff(ms.landmarks) > 0)
     n = ms.landmarks.size
     assert ms.lm_pos.shape == (n, 3)
-    assert ms.lm_misses.shape == (n,) and ms.lm_nobs.shape == (n,)
-    assert ms.lm_nobs.tolist() == [recount[i] for i in ms.landmarks.tolist()]
+    assert ms.lm_misses.shape == (n,)
 
 
 # --- frame input -------------------------------------------------------------
@@ -236,29 +235,29 @@ def test_frame_data_accepts_whole_float_ids_as_integers():
 
 
 def test_motion_model_without_history_is_identity():
-    init = constant_velocity_init()
-    assert np.array_equal(init.R, np.eye(3))
-    assert np.array_equal(init.t, np.zeros(3))
+    R, t = constant_velocity_init()
+    assert np.array_equal(R, np.eye(3))
+    assert np.array_equal(t, np.zeros(3))
 
 
 def test_motion_model_with_single_pose_holds_it():
     prev = se3_exp(np.array([0.1, 0.2, -0.3, 0.02, -0.01, 0.03]))
-    init = constant_velocity_init(prev)
-    np.testing.assert_array_equal(init.R, prev.R)
-    np.testing.assert_array_equal(init.t, prev.t)
+    R, t = constant_velocity_init(prev)
+    np.testing.assert_array_equal(R, prev.R)
+    np.testing.assert_array_equal(t, prev.t)
 
 
 def test_motion_model_extrapolates_constant_twist():
     a = se3_exp(np.array([0.05, -0.02, 0.01, 0.01, 0.02, -0.015]))
     step = se3_exp(np.array([0.24, 0.0, 0.0, 0.0, 0.0, 0.03]))
     b = step.compose(a)
-    init = constant_velocity_init(b, a)
+    R, t = constant_velocity_init(b, a)
     expect = step.compose(b)
-    np.testing.assert_allclose(init.R, expect.R, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(init.t, expect.t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(R, expect.R, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(t, expect.t, rtol=0, atol=1e-12)
 
 
-def test_motion_model_validates_one_pose(monkeypatch):
+def test_motion_model_builds_no_pose(monkeypatch):
     a = se3_exp(np.array([0.05, -0.02, 0.01, 0.01, 0.02, -0.015]))
     b = se3_exp(np.array([0.24, 0.0, 0.0, 0.0, 0.0, 0.03])).compose(a)
     built = []
@@ -269,8 +268,8 @@ def test_motion_model_validates_one_pose(monkeypatch):
         original(self)
 
     monkeypatch.setattr(PoseSE3, "__post_init__", counting)
-    init = constant_velocity_init(b, a)
-    assert built == [init]
+    constant_velocity_init(b, a)
+    assert built == []
 
 
 def test_motion_model_keeps_rotation_orthonormal_over_long_recursions():
@@ -282,7 +281,7 @@ def test_motion_model_keeps_rotation_orthonormal_over_long_recursions():
     a = se3_exp(rng.normal(size=6) * 0.1)
     b = se3_exp(rng.normal(size=6) * 0.1)
     for _ in range(400):
-        a, b = b, constant_velocity_init(b, a)
+        a, b = b, PoseSE3(*constant_velocity_init(b, a))
     assert np.max(np.abs(b.R @ b.R.T - np.eye(3))) <= 1e-12
 
 
@@ -466,8 +465,8 @@ def reference_track_frame(map_state, frame, config, prev_pose, prev_prev_pose):
             cost += float(np.sum(rho_n))
         return pc, r, sq, w, rn, wn, cost
 
-    init = constant_velocity_init(prev_pose, prev_prev_pose)
-    R, t = init.R[None], init.t[None]
+    R, t = constant_velocity_init(prev_pose, prev_prev_pose)
+    R, t = R[None], t[None]
     pc, r, sq, w, rn, wn, cost = evaluate(R, t)
     if not np.isfinite(cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
@@ -898,10 +897,9 @@ def test_remove_observations_counts_dead_and_repeated_ids_once():
     row = obs_row(ms, 0, 0)
 
     ms.remove_observations([row, row])  # landmark 0 keeps its other observation
-    assert ms.lm_nobs[landmark_row(ms, 0)] == 1
+    assert 0 in ms.landmarks and observers(ms, 0) == {1}
     ms.remove_observations([row])  # already dead: nothing left to count
-    assert ms.lm_nobs[landmark_row(ms, 0)] == 1
-    assert observers(ms, 0) == {1}
+    assert 0 in ms.landmarks and observers(ms, 0) == {1}
     assert_map_consistent(ms)
 
     ms.remove_observations([obs_row(ms, 1, 0)])
@@ -1497,6 +1495,14 @@ def test_run_sequence_recovers_clean_scene(clean_seq):
     assert report.rmse < 1e-6
 
 
+@pytest.mark.xfail(strict=True, raises=TrackingLost, reason="ROADMAP item 6")
+def test_run_sequence_finishes_lawnmower_seed_29():
+    # the default lawnmower scene of seed 29 is lost at frame 457, and so is
+    # this 40 m cut of it
+    seq = generate_sequence(SceneConfig(seed=29, trajectory_length=40.0))
+    run_sequence(seq.frames, seq.intrinsics, SolverConfig())
+
+
 def test_run_sequence_is_deterministic(noisy_seq):
     config = SolverConfig()
     a = run_sequence(noisy_seq.frames, noisy_seq.intrinsics, config)
@@ -1604,9 +1610,9 @@ def test_run_output_holds_final_keyframe_poses_and_tracked_poses(noisy_seq):
     assert moved > 0  # bundle adjustment moved keyframes off their tracked poses
 
 
-def test_run_builds_at_most_one_pose_per_keyframe_and_coasted_frame(noisy_seq, monkeypatch):
-    # tracked poses, records and the output trajectory stay arrays; a pose
-    # is validated as a PoseSE3 only where it enters the map
+def test_run_builds_at_most_one_pose_per_keyframe(noisy_seq, monkeypatch):
+    # tracked and coasted poses, records and the output trajectory stay
+    # arrays; a pose is validated as a PoseSE3 only where it enters the map
     frames = list(noisy_seq.frames)
     for fid in (30, 31):
         frames[fid] = _blank_frame(noisy_seq, fid)
@@ -1621,7 +1627,7 @@ def test_run_builds_at_most_one_pose_per_keyframe_and_coasted_frame(noisy_seq, m
     result = run_sequence(frames, noisy_seq.intrinsics, SolverConfig())
     coasted = sum(r.keyframe_id is None and r.matched == 0 for r in result.records)
     assert coasted == 2
-    assert 0 < len(built) <= len(result.map_state.keyframes) + coasted
+    assert 0 < len(built) <= len(result.map_state.keyframes)
 
 
 def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):
@@ -1659,7 +1665,7 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     doomed = np.flatnonzero(np.isin(ms.obs_lm, doomed_lms) & (ms.obs_kf >= 0))
     uncompacted.obs_kf[doomed] = -1
     kept = ~np.isin(uncompacted.landmarks, doomed_lms)
-    for name in ("landmarks", "lm_pos", "lm_misses", "lm_nobs"):
+    for name in ("landmarks", "lm_pos", "lm_misses"):
         setattr(uncompacted, name, getattr(uncompacted, name)[kept])
     live = uncompacted.obs_kf >= 0
     assert 2 * np.count_nonzero(live) < live.size

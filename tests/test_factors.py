@@ -17,8 +17,8 @@ from normalvo.geometry import (
     project,
     se3_exp,
     so3_exp,
-    transform_point,
 )
+from pose_reference import transform_point
 
 K = Intrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, b=0.05)
 FD_STEP = 1e-6

@@ -13,6 +13,7 @@ from normalvo.simulator import (
     generate_trajectory,
     render_observations,
 )
+from pose_reference import pose_matrix
 
 
 def small_cfg(**kw) -> SceneConfig:
@@ -157,7 +158,7 @@ def test_first_pose_is_downward_looking_at_lane_start():
 def test_sequence_anchored_to_first_camera():
     cfg = small_cfg()
     seq = generate_sequence(cfg)
-    np.testing.assert_allclose(seq.poses[0].matrix(), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(pose_matrix(seq.poses[0]), np.eye(4), atol=1e-12)
     # ground plane sits at depth ~altitude in front of the first camera
     assert abs(np.mean(seq.landmark_positions[:, 2]) - cfg.altitude) < 0.3
 
@@ -232,7 +233,7 @@ def test_sequence_bit_identical_across_runs():
         assert np.array_equal(fa.landmark_ids, fb.landmark_ids)
         assert np.array_equal(fa.frame_normal, fb.frame_normal)
     for pa, pb in zip(a.poses, b.poses):
-        assert np.array_equal(pa.matrix(), pb.matrix())
+        assert np.array_equal(pose_matrix(pa), pose_matrix(pb))
 
 
 def test_viewing_axis_scatter_far_below_lateral():
