@@ -15,7 +15,7 @@ for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .estimator import SolverConfig
 from .factors import RobustLossConfig
@@ -50,169 +50,125 @@ class RunConfig:
             raise ConfigError("seeds must name at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
+        if min(seeds) < 0:
+            raise ConfigError("seeds must be non-negative")
 
 
-@dataclass(frozen=True)
-class _Entry:
-    name: str
-    section: str
-    kind: str  # int | float | bool | str | seeds
-    doc: str
+# One line per key for ``default_config_text()``. The key itself, its
+# section, kind and default come from the settings class that holds it.
+_DOCS = {
+    "max_iterations": "iteration cap per nonlinear solve",
+    "initial_damping": "damping at the start of every solve",
+    "damping_increase": "damping multiplier after a rejected step",
+    "damping_decrease": "damping divisor after an accepted step",
+    "damping_ceiling": "stop once damping exceeds this",
+    "step_tolerance": "converged when the update norm drops below this",
+    "cost_tolerance": "converged when the model-predicted or the accepted "
+                      "relative cost drop falls below this",
+    "chi2_threshold": "squared whitened residual gate (3-dof 95% quantile)",
+    "sigma_px": "measurement sigma used to whiten residuals [px]",
+    "min_disparity": "triangulation floor on uL - uR [px]",
+    "normal_init_window": "keyframes for which the world normal stays a variable",
+    "keyframe_gap": "frames after which a keyframe is forced",
+    "keyframe_overlap": "new keyframe when inliers drop under this fraction "
+                        "of the reference count",
+    "covisibility_min_shared": "shared landmarks needed for a covisibility edge",
+    "covisibility_max_window": "bundle-adjustment window cap, 0 = uncapped",
+    "min_track_observations": "mapped matches below this abort tracking",
+    "min_inlier_fraction": "tracking inlier-fraction floor",
+    "cull_misses": "consecutive tracking rejections before a landmark is culled",
+    "max_track_failures": "coasted frames tolerated before tracking is declared lost",
+    "normal_in_tracking": "apply the surface factor during pose tracking too",
+    "huber_delta_repro": "Huber knee for whitened reprojection norms",
+    "huber_delta_normal": "Huber knee for whitened surface-factor norms",
+    "normal_weight": "surface-constraint weight, 0 disables the factor",
+    "landmark_count": "features scattered over the field",
+    "plane_height": "world z of the pavement plane [m]",
+    "roughness": "sigma of landmark height above the plane [m]",
+    "extent_x": "field size along the first lane [m]",
+    "extent_y": "field size across lanes [m]",
+    "pixel_noise": "sigma per measurement component [px]",
+    "outlier_rate": "fraction of measurements replaced by gross outliers",
+    "outlier_magnitude": "norm of the injected pixel offset [px]",
+    "trajectory_shape": "lawnmower or line",
+    "trajectory_length": "path length [m]",
+    "altitude": "camera height above the plane [m]",
+    "speed": "constant flight speed [m/s]",
+    "frame_rate": "frames per second",
+    "seed": "root seed of every random stream in the scene",
+    "normal_noise_deg": "tilt sigma of the measured per-frame normals [deg]",
+    "image_width": "sensor width [px], visibility culling only",
+    "image_height": "sensor height [px], visibility culling only",
+    "fx": "focal length x [px]",
+    "fy": "focal length y [px]",
+    "cx": "principal point x [px]",
+    "cy": "principal point y [px]",
+    "b": "stereo baseline [m]",
+    "rde_delta": "frame step of the relative distance error",
+    "seeds": "scene seeds the experiment command sweeps, space-separated",
+}
+
+# Every settings class and the name of its section, in file order. A field
+# annotated with one of these class names is a nested section; any other
+# field is a key whose kind is its annotation string (``int``, ``float``,
+# ``bool``, ``str`` or, for the seeds, ``tuple``).
+_SECTIONS = {
+    SolverConfig: "solver",
+    RobustLossConfig: "loss",
+    SceneConfig: "scene",
+    Intrinsics: "camera",
+    RunConfig: "evaluation",
+}
+_NESTED = {cls.__name__: cls for cls in _SECTIONS}
+
+# key name -> (section, kind), in file order
+_KEYS = {
+    f.name: (section, f.type)
+    for cls, section in _SECTIONS.items()
+    for f in fields(cls)
+    if f.type not in _NESTED
+}
 
 
-_REGISTRY = (
-    # solver
-    _Entry("max_iterations", "solver", "int",
-           "iteration cap per nonlinear solve"),
-    _Entry("initial_damping", "solver", "float",
-           "damping at the start of every solve"),
-    _Entry("damping_increase", "solver", "float",
-           "damping multiplier after a rejected step"),
-    _Entry("damping_decrease", "solver", "float",
-           "damping divisor after an accepted step"),
-    _Entry("damping_ceiling", "solver", "float",
-           "stop once damping exceeds this"),
-    _Entry("step_tolerance", "solver", "float",
-           "converged when the update norm drops below this"),
-    _Entry("cost_tolerance", "solver", "float",
-           "converged when the model-predicted or the accepted relative "
-           "cost drop falls below this"),
-    _Entry("chi2_threshold", "solver", "float",
-           "squared whitened residual gate (3-dof 95% quantile)"),
-    _Entry("sigma_px", "solver", "float",
-           "measurement sigma used to whiten residuals [px]"),
-    _Entry("min_disparity", "solver", "float",
-           "triangulation floor on uL - uR [px]"),
-    _Entry("normal_init_window", "solver", "int",
-           "keyframes for which the world normal stays a variable"),
-    _Entry("keyframe_gap", "solver", "int",
-           "frames after which a keyframe is forced"),
-    _Entry("keyframe_overlap", "solver", "float",
-           "new keyframe when inliers drop under this fraction of the "
-           "reference count"),
-    _Entry("covisibility_min_shared", "solver", "int",
-           "shared landmarks needed for a covisibility edge"),
-    _Entry("covisibility_max_window", "solver", "int",
-           "bundle-adjustment window cap, 0 = uncapped"),
-    _Entry("min_track_observations", "solver", "int",
-           "mapped matches below this abort tracking"),
-    _Entry("min_inlier_fraction", "solver", "float",
-           "tracking inlier-fraction floor"),
-    _Entry("cull_misses", "solver", "int",
-           "consecutive tracking rejections before a landmark is culled"),
-    _Entry("max_track_failures", "solver", "int",
-           "coasted frames tolerated before tracking is declared lost"),
-    _Entry("normal_in_tracking", "solver", "bool",
-           "apply the surface factor during pose tracking too"),
-    # loss
-    _Entry("huber_delta_repro", "loss", "float",
-           "Huber knee for whitened reprojection norms"),
-    _Entry("huber_delta_normal", "loss", "float",
-           "Huber knee for whitened surface-factor norms"),
-    _Entry("normal_weight", "loss", "float",
-           "surface-constraint weight, 0 disables the factor"),
-    # scene
-    _Entry("landmark_count", "scene", "int",
-           "features scattered over the field"),
-    _Entry("plane_height", "scene", "float",
-           "world z of the pavement plane [m]"),
-    _Entry("roughness", "scene", "float",
-           "sigma of landmark height above the plane [m]"),
-    _Entry("extent_x", "scene", "float",
-           "field size along the first lane [m]"),
-    _Entry("extent_y", "scene", "float",
-           "field size across lanes [m]"),
-    _Entry("pixel_noise", "scene", "float",
-           "sigma per measurement component [px]"),
-    _Entry("outlier_rate", "scene", "float",
-           "fraction of measurements replaced by gross outliers"),
-    _Entry("outlier_magnitude", "scene", "float",
-           "norm of the injected pixel offset [px]"),
-    _Entry("trajectory_shape", "scene", "str",
-           "lawnmower or line"),
-    _Entry("trajectory_length", "scene", "float",
-           "path length [m]"),
-    _Entry("altitude", "scene", "float",
-           "camera height above the plane [m]"),
-    _Entry("speed", "scene", "float",
-           "constant flight speed [m/s]"),
-    _Entry("frame_rate", "scene", "float",
-           "frames per second"),
-    _Entry("seed", "scene", "int",
-           "root seed of every random stream in the scene"),
-    _Entry("normal_noise_deg", "scene", "float",
-           "tilt sigma of the measured per-frame normals [deg]"),
-    _Entry("image_width", "scene", "int",
-           "sensor width [px], visibility culling only"),
-    _Entry("image_height", "scene", "int",
-           "sensor height [px], visibility culling only"),
-    # camera
-    _Entry("fx", "camera", "float", "focal length x [px]"),
-    _Entry("fy", "camera", "float", "focal length y [px]"),
-    _Entry("cx", "camera", "float", "principal point x [px]"),
-    _Entry("cy", "camera", "float", "principal point y [px]"),
-    _Entry("b", "camera", "float", "stereo baseline [m]"),
-    # evaluation / experiment
-    _Entry("rde_delta", "evaluation", "int",
-           "frame step of the relative distance error"),
-    _Entry("seeds", "evaluation", "seeds",
-           "scene seeds the experiment command sweeps, space-separated"),
-)
-
-_BY_NAME = {e.name: e for e in _REGISTRY}
-_SECTIONS = ("solver", "loss", "scene", "camera", "evaluation")
-_SOLVER_NAMES = tuple(e.name for e in _REGISTRY if e.section == "solver")
-_LOSS_NAMES = tuple(e.name for e in _REGISTRY if e.section == "loss")
-_SCENE_NAMES = tuple(e.name for e in _REGISTRY if e.section == "scene")
-_CAMERA_NAMES = tuple(e.name for e in _REGISTRY if e.section == "camera")
-
-
-def _flatten(cfg: RunConfig) -> dict:
+def _flatten(settings) -> dict:
     flat = {}
-    for name in _SOLVER_NAMES:
-        flat[name] = getattr(cfg.solver, name)
-    for name in _LOSS_NAMES:
-        flat[name] = getattr(cfg.solver.loss, name)
-    for name in _SCENE_NAMES:
-        flat[name] = getattr(cfg.scene, name)
-    for name in _CAMERA_NAMES:
-        flat[name] = getattr(cfg.scene.intrinsics, name)
-    flat["rde_delta"] = cfg.rde_delta
-    flat["seeds"] = cfg.seeds
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type in _NESTED:
+            flat.update(_flatten(value))
+        else:
+            flat[f.name] = value
     return flat
 
 
-def _assemble(flat: dict) -> RunConfig:
-    loss = RobustLossConfig(**{n: flat[n] for n in _LOSS_NAMES})
-    solver = SolverConfig(loss=loss, **{n: flat[n] for n in _SOLVER_NAMES})
-    camera = Intrinsics(**{n: flat[n] for n in _CAMERA_NAMES})
-    scene = SceneConfig(intrinsics=camera, **{n: flat[n] for n in _SCENE_NAMES})
-    return RunConfig(
-        solver=solver,
-        scene=scene,
-        rde_delta=flat["rde_delta"],
-        seeds=flat["seeds"],
-    )
+def _assemble(cls, flat: dict):
+    # nested classes are built before the class holding them, so validation
+    # errors surface in the order loss, solver, camera, scene, run
+    kwargs = {}
+    for f in fields(cls):
+        nested = _NESTED.get(f.type)
+        kwargs[f.name] = flat[f.name] if nested is None else _assemble(nested, flat)
+    return cls(**kwargs)
 
 
-def _parse_value(entry: _Entry, text: str):
-    if entry.kind == "int":
+def _parse_value(kind: str, text: str):
+    if kind == "int":
         try:
             return int(text)
         except ValueError:
             raise ConfigError(f"expected an integer, got {text!r}") from None
-    if entry.kind == "float":
+    if kind == "float":
         try:
             return float(text)
         except ValueError:
             raise ConfigError(f"expected a number, got {text!r}") from None
-    if entry.kind == "bool":
+    if kind == "bool":
         if text == "true":
             return True
         if text == "false":
             return False
         raise ConfigError(f"expected true or false, got {text!r}")
-    if entry.kind == "seeds":
+    if kind == "tuple":
         try:
             return tuple(int(tok) for tok in text.split())
         except ValueError:
@@ -222,12 +178,12 @@ def _parse_value(entry: _Entry, text: str):
     return text
 
 
-def _format_value(entry: _Entry, value) -> str:
-    if entry.kind == "float":
+def _format_value(kind: str, value) -> str:
+    if kind == "float":
         return format_float(value)
-    if entry.kind == "bool":
+    if kind == "bool":
         return "true" if value else "false"
-    if entry.kind == "seeds":
+    if kind == "tuple":
         return " ".join(str(int(s)) for s in value)
     return str(value)
 
@@ -252,8 +208,7 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             )
         key = key.strip()
         value = value.strip()
-        entry = _BY_NAME.get(key)
-        if entry is None:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -261,11 +216,11 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: empty value for {key!r}")
         seen.add(key)
         try:
-            flat[key] = _parse_value(entry, value)
+            flat[key] = _parse_value(_KEYS[key][1], value)
         except ConfigError as err:
             raise ConfigError(f"{source}:{lineno}: {key}: {err}") from None
     try:
-        return _assemble(flat)
+        return _assemble(RunConfig, flat)
     except ConfigError:
         raise
     except ValueError as err:
@@ -276,14 +231,14 @@ def format_config(cfg: RunConfig, annotated: bool = False) -> str:
     """Emit every key grouped by section; parses back to an equal config."""
     flat = _flatten(cfg)
     lines = []
-    for section in _SECTIONS:
+    for section in _SECTIONS.values():
         lines.append(f"# {section}")
-        for entry in _REGISTRY:
-            if entry.section != section:
+        for name, (key_section, kind) in _KEYS.items():
+            if key_section != section:
                 continue
             if annotated:
-                lines.append(f"# {entry.doc}")
-            lines.append(f"{entry.name} = {_format_value(entry, flat[entry.name])}")
+                lines.append(f"# {_DOCS[name]}")
+            lines.append(f"{name} = {_format_value(kind, flat[name])}")
         lines.append("")
     return "\n".join(lines)
 

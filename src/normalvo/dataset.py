@@ -234,6 +234,14 @@ def _field(path: Path, lineno: int, text: str, kind, label: str):
         ) from None
 
 
+def _int64(text: str) -> int:
+    """int(text), refused as a ValueError outside the range of np.int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} overflows int64")
+    return value
+
+
 def load_intrinsics(path) -> Intrinsics:
     path = Path(path)
     text = _read_text(path)
@@ -321,7 +329,7 @@ def _read_tables_per_line(d: Path, frame_count: int):
     lm_ids = []
     lm_pos = []
     for lineno, row in _csv_rows(lm_path, _LANDMARKS[1]):
-        lm_ids.append(_field(lm_path, lineno, row[0], int, "id"))
+        lm_ids.append(_field(lm_path, lineno, row[0], _int64, "id"))
         lm_pos.append(
             [_field(lm_path, lineno, v, float, "coordinate") for v in row[1:]]
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseSE3, check_poses
+from .geometry import PoseSE3, check_poses, nearest_rotation
 
 
 class TooFewPoses(ValueError):
@@ -141,10 +141,7 @@ def _fit_rigid(src: np.ndarray, dst: np.ndarray, planar: bool) -> PoseSE3:
         c, s = np.cos(theta), np.sin(theta)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     else:
-        U, _, Vt = np.linalg.svd(cross)
-        D = np.eye(3)
-        D[2, 2] = np.sign(np.linalg.det(U @ Vt))
-        R = U @ D @ Vt
+        R = nearest_rotation(cross)
     return PoseSE3(R, mu_d - R @ mu_s)
 
 

@@ -70,7 +70,7 @@ class SceneConfig:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"SceneConfig.{name} must be positive")
         for name in ("roughness", "pixel_noise", "outlier_magnitude",
-                     "normal_noise_deg"):
+                     "normal_noise_deg", "seed"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"SceneConfig.{name} must be non-negative")
         if not 0.0 <= self.outlier_rate <= 0.5:

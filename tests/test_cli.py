@@ -105,6 +105,38 @@ def test_simulate_bad_config_is_a_data_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def _cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "normalvo", "--quiet", *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+def _assert_one_line_data_error(proc, message):
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1 and message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("simulate", "seed = -1\n", "SceneConfig.seed must be non-negative"),
+        ("experiment", "seeds = -2 3\n", "seeds must be non-negative"),
+    ],
+    ids=["scene-seed", "experiment-seeds"],
+)
+def test_negative_seed_is_a_data_error(tmp_path, command, text, message):
+    # a negative seed would reach np.random.default_rng and end in its
+    # traceback; it is refused while the config is read
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(text)
+    proc = _cli(command, str(tmp_path / "out"), "--config", str(cfg))
+    _assert_one_line_data_error(proc, message)
+    assert not (tmp_path / "out").exists()
+
+
 # --- run ---
 
 
@@ -243,6 +275,14 @@ def test_run_malformed_measurement_is_a_data_error(
     assert proc.returncode == EXIT_DATA, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_run_landmark_id_past_int64_is_a_data_error(dataset, tmp_path):
+    d = _copy_dataset(dataset, tmp_path / "big-id")
+    with open(d / "landmarks.csv", "a") as fh:
+        fh.write("99999999999999999999,1.0,2.0,3.0\n")
+    proc = _cli("run", str(d), str(tmp_path / "x.txt"))
+    _assert_one_line_data_error(proc, "bad id value '99999999999999999999'")
 
 
 def test_run_non_finite_intrinsics_is_a_data_error(dataset, tmp_path):

@@ -6,9 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from normalvo.estimator import SolverConfig
+from normalvo.factors import RobustLossConfig
+from normalvo.geometry import Intrinsics
+from normalvo.simulator import SceneConfig
+
 from normalvo.config import (
+    _DOCS,
+    _KEYS,
     ConfigError,
-    _REGISTRY,
     RunConfig,
     default_config_text,
     format_config,
@@ -126,6 +132,44 @@ def test_float_keys_reject_words():
         parse_config("sigma_px = big")
 
 
+# --- the key table ---
+
+SECTION_OF = {
+    SolverConfig: "solver",
+    RobustLossConfig: "loss",
+    SceneConfig: "scene",
+    Intrinsics: "camera",
+    RunConfig: "evaluation",
+}
+
+
+def test_every_settings_field_is_exactly_one_key():
+    # a field typed as a settings class is a nested section; every other
+    # field is a key of its class's section, and no two sections share a name
+    nested = {cls.__name__ for cls in SECTION_OF}
+    keys = [
+        (f.name, (section, f.type))
+        for cls, section in SECTION_OF.items()
+        for f in dataclasses.fields(cls)
+        if f.type not in nested
+    ]
+    assert len(dict(keys)) == len(keys) == 47
+    assert dict(keys) == _KEYS
+    assert set(_DOCS) == set(_KEYS)
+    assert len(FLOAT_KEYS) == 31
+
+
+def test_format_config_lists_sections_in_file_order():
+    sections, placed = [], {}
+    for line in format_config(RunConfig()).splitlines():
+        if line.startswith("# "):
+            sections.append(line[2:])
+        elif line:
+            placed[line.split(" = ")[0]] = sections[-1]
+    assert sections == ["solver", "loss", "scene", "camera", "evaluation"]
+    assert list(placed.items()) == [(name, sec) for name, (sec, _) in _KEYS.items()]
+
+
 # --- errors ---
 
 
@@ -173,9 +217,11 @@ def test_constructor_validation_becomes_config_error():
         parse_config("fx = -10")
     with pytest.raises(ConfigError, match="cx must be finite"):
         parse_config("cx = nan")
+    with pytest.raises(ConfigError, match=r"SceneConfig\.seed must be non-negative"):
+        parse_config("seed = -1")
 
 
-FLOAT_KEYS = [entry.name for entry in _REGISTRY if entry.kind == "float"]
+FLOAT_KEYS = [name for name, (_, kind) in _KEYS.items() if kind == "float"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -194,6 +240,10 @@ def test_run_level_validation():
         RunConfig(seeds=())
     with pytest.raises(ConfigError, match="distinct"):
         parse_config("seeds = 4 4")
+    with pytest.raises(ConfigError, match="seeds must be non-negative"):
+        parse_config("seeds = -2 3")
+    with pytest.raises(ConfigError, match="seeds must be non-negative"):
+        RunConfig(seeds=(-1,))
 
 
 def test_config_error_is_a_value_error():

@@ -293,6 +293,7 @@ MALFORMED = {
     "form feed in a row": _obs_row(_set(5, "1\f")),
     "non-ASCII digit": _obs_row(_set(0, "١")),
     "id past int64": _append("obs.csv", "99999999999999999999,0,100.0,100.0,90.0,0"),
+    "landmark id past int64": _append("landmarks.csv", "99999999999999999999,1.0,2.0,3.0"),
     "empty obs.csv": lambda d: (d / "obs.csv").write_text(""),
 }
 
@@ -302,6 +303,8 @@ def test_per_line_pass_decides_every_other_file(base_dir, tmp_path, monkeypatch,
     d = _copy(base_dir, tmp_path / "d")
     MALFORMED[case](d)
     assert_same_outcome(d, monkeypatch)
+    # and the outcome is a dataset or a typed data error, never a crash
+    assert isinstance(_outcome(d), (dataset.Dataset, DataFormatError))
 
 
 def test_malformed_messages_name_file_and_line(base_dir, tmp_path):
