@@ -30,7 +30,6 @@ from .evaluation import (
     SequenceTooShort,
     TimestampMismatch,
     TooFewPoses,
-    Trajectory,
     associate,
     ate,
     rde,
@@ -269,7 +268,7 @@ def cmd_experiment(args) -> int:
                 )
             print(f"seed {seed}: simulation FAILED ({err})", flush=True)
             continue
-        gt = Trajectory(sequence.timestamps, list(sequence.poses))
+        gt = sequence.ground_truth
         seed_dir = outdir / f"seed_{seed}"
         seed_dir.mkdir(exist_ok=True)
         seed_ok = True

@@ -221,8 +221,6 @@ def parse_config(text: str, source: str = "config") -> RunConfig:
             raise ConfigError(f"{source}:{lineno}: {key}: {err}") from None
     try:
         return _assemble(RunConfig, flat)
-    except ConfigError:
-        raise
     except ValueError as err:
         raise ConfigError(f"{source}: {err}") from err
 

@@ -166,42 +166,32 @@ def write_dataset(dirpath, sequence, cfg: RunConfig) -> Path:
         " ".join(format_float(v) for v in (K.fx, K.fy, K.cx, K.cy, K.b)) + "\n",
         encoding="utf-8",
     )
-    save_trajectory(
-        d / "traj_gt.txt",
-        Trajectory(sequence.timestamps, list(sequence.poses)),
-        header="ground truth",
+    save_trajectory(d / "traj_gt.txt", sequence.ground_truth, header="ground truth")
+    # one table per file: %.17g renders as format_float does, and the
+    # simulator's ids and flags are exact as float64 (ids stay below 2**53)
+    f3 = ["%.17g"] * 3
+    np.savetxt(
+        d / "landmarks.csv",
+        np.column_stack([sequence.landmark_ids, sequence.landmark_positions]),
+        fmt=["%d", *f3], delimiter=",", header="id,x,y,z", comments="",
     )
-
-    with open(d / "landmarks.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "x", "y", "z"])
-        for lid, pos in zip(sequence.landmark_ids, sequence.landmark_positions):
-            writer.writerow([int(lid), *(format_float(v) for v in pos)])
-
-    with open(d / "obs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame_id", "landmark_id", "uL", "v", "uR", "is_outlier"])
-        for frame in sequence.frames:
-            for lid, meas, bad in zip(
-                frame.landmark_ids, frame.measurements, frame.outlier_mask
-            ):
-                writer.writerow(
-                    [
-                        int(frame.frame_id),
-                        int(lid),
-                        *(format_float(v) for v in meas),
-                        int(bad),
-                    ]
-                )
-
-    with open(d / "normals.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame_id", "nx", "ny", "nz"])
-        for frame in sequence.frames:
-            writer.writerow(
-                [int(frame.frame_id)]
-                + [format_float(v) for v in frame.frame_normal]
-            )
+    np.savetxt(
+        d / "obs.csv",
+        np.concatenate([
+            np.column_stack([
+                np.full(f.landmark_ids.size, f.frame_id), f.landmark_ids,
+                f.measurements, f.outlier_mask,
+            ])
+            for f in sequence.frames
+        ]),
+        fmt=["%d", "%d", *f3, "%d"], delimiter=",",
+        header="frame_id,landmark_id,uL,v,uR,is_outlier", comments="",
+    )
+    np.savetxt(
+        d / "normals.csv",
+        [[f.frame_id, *f.frame_normal] for f in sequence.frames],
+        fmt=["%d", *f3], delimiter=",", header="frame_id,nx,ny,nz", comments="",
+    )
 
     (d / "config_used.txt").write_text(format_config(cfg), encoding="utf-8")
     return d

@@ -243,7 +243,7 @@ class MapState:
         rows = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
         return rows[self.obs_kf[rows] >= 0]
 
-    def add_keyframe(self, frame_id: int, pose: PoseSE3, normal=None, basis=None) -> int:
+    def add_keyframe(self, frame_id: int, pose, normal=None, basis=None) -> int:
         """Append a keyframe at world-to-camera ``pose`` with the frame normal
         it measured, if any, and that normal's tangent basis; the first
         keyframe holds the gauge. Returns its id."""
@@ -365,10 +365,6 @@ class TrackResult:
     outlier_ids: np.ndarray
     matched: int
     cost: float
-
-    @property
-    def pose(self) -> PoseSE3:
-        return PoseSE3(self.R, self.t)
 
 
 @dataclass(frozen=True)
@@ -606,12 +602,13 @@ def select_keyframe(
 def insert_keyframe(
     map_state: MapState,
     frame: FrameData,
-    pose: PoseSE3,
+    pose,
     matched_ids,
     config: SolverConfig,
 ) -> int:
-    """Add a keyframe and return its id: matched inliers become observations,
-    the rest of the frame's measurements are triangulated into new landmarks.
+    """Add a keyframe at world-to-camera ``pose`` (anything holding ``R`` and
+    ``t``) and return its id: matched inliers become observations, the rest
+    of the frame's measurements are triangulated into new landmarks.
 
     The first keyframe seeds the world normal from its own frame normal; each
     insertion burns one step of the normal-init countdown, freezing the
@@ -1001,10 +998,6 @@ class FrameRecord:
     matched: int
     inliers: int
 
-    @property
-    def tracked_pose(self) -> PoseSE3:
-        return PoseSE3(self.R, self.t)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -1074,7 +1067,7 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     map_state, frame.frame_id, result.inlier_ids.size, config
                 ):
                     kf_id = insert_keyframe(
-                        map_state, frame, result.pose, result.inlier_ids, config
+                        map_state, frame, result, result.inlier_ids, config
                     )
                     local_bundle_adjustment(map_state, kf_id, config)
                 R, t = result.R, result.t

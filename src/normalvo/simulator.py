@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import FrameData
-from .geometry import (
-    DEFAULT_MIN_DISPARITY,
-    Intrinsics,
-    PoseSE3,
-    check_finite,
-    project,
-    so3_exp,
-)
+from .evaluation import Trajectory
+from .geometry import DEFAULT_MIN_DISPARITY, Intrinsics, check_finite, project, so3_exp
 
 #: Spacing between lawn-mower lanes [m]; turns are semicircles of half this.
 LANE_PITCH = 7.0
@@ -101,11 +95,9 @@ class SimulatedSequence:
 
     config: SceneConfig
     intrinsics: Intrinsics
-    poses: list                   # list[PoseSE3], camera-to-world, poses[0] == I
-    timestamps: np.ndarray        # (F,)
+    ground_truth: Trajectory      # camera-to-world, the first pose is I
     landmark_ids: np.ndarray      # (M,) int
     landmark_positions: np.ndarray  # (M, 3) world frame
-    plane_normal: np.ndarray      # (3,) exact plane normal, world frame
     frames: list                  # list[FrameObservations]
 
 
@@ -187,8 +179,9 @@ def _path_segments(cfg: SceneConfig):
     return segments
 
 
-def _pose_at(segments, s: float, altitude: float) -> PoseSE3:
-    """Camera-to-world (field-frame) pose at arc length s along the path."""
+def _pose_at(segments, s: float, altitude: float):
+    """Camera-to-world (field-frame) pose ``(R, t)`` at arc length s along
+    the path."""
     remaining = s
     for seg in segments:
         length = seg[-1]
@@ -209,39 +202,40 @@ def _pose_at(segments, s: float, altitude: float) -> PoseSE3:
         z_cam = np.array([0.0, 0.0, -1.0])  # optical axis straight down
         y_cam = np.cross(z_cam, x_cam)
         R = np.column_stack([x_cam, y_cam, z_cam])
-        return PoseSE3(R, position)
+        return R, position
     raise ValueError(f"arc length {s} beyond path end")
 
 
-def generate_trajectory(cfg: SceneConfig) -> list:
-    """Ground-truth camera-to-world poses in field coordinates, one per frame."""
+def generate_trajectory(cfg: SceneConfig):
+    """Ground-truth camera-to-world poses in field coordinates, one per
+    frame, as stacked ``R`` (F, 3, 3) and ``t`` (F, 3)."""
     segments = _path_segments(cfg)
     available = sum(seg[-1] for seg in segments)
     ds = cfg.speed / cfg.frame_rate
-    poses = []
-    for i in range(cfg.frame_count):
-        s = min(i * ds, available - 1e-9)
-        poses.append(_pose_at(segments, s, cfg.altitude))
-    return poses
+    R, t = zip(*(
+        _pose_at(segments, min(i * ds, available - 1e-9), cfg.altitude)
+        for i in range(cfg.frame_count)
+    ))
+    return np.array(R), np.array(t)
 
 
 def render_observations(
     landmarks: np.ndarray,
-    pose: PoseSE3,
+    R: np.ndarray,
+    t: np.ndarray,
     cfg: SceneConfig,
     frame_rng: np.random.Generator,
 ):
     """Project the landmark field into one stereo frame and corrupt it.
 
-    `pose` is camera-to-world in the same frame as `landmarks`. Returns
-    (ids, measurements (N,3), outlier_mask, cam_points (N,3)): only landmarks
-    that are in front of the camera, inside both image bounds and with
-    disparity above the minimum survive. Outliers replace the clean projection
-    with a uniformly-directed offset of configured norm, re-drawn if the
-    offset would push the disparity below its floor.
+    ``(R, t)`` is the camera-to-world pose, in the same frame as `landmarks`.
+    Returns (ids, measurements (N,3), outlier_mask, cam_points (N,3)): only
+    landmarks that are in front of the camera, inside both image bounds and
+    with disparity above the minimum survive. Outliers replace the clean
+    projection with a uniformly-directed offset of configured norm, re-drawn
+    if the offset would push the disparity below its floor.
     """
-    w2c = pose.inverse()
-    pc = landmarks @ w2c.R.T + w2c.t
+    pc = landmarks @ R + -R.T @ t  # world-to-camera is (R^T, -R^T t)
     in_front = pc[:, 2] > 1e-6
     idx = np.flatnonzero(in_front)
     pc = pc[idx]
@@ -278,20 +272,21 @@ def render_observations(
 
 def generate_sequence(cfg: SceneConfig) -> SimulatedSequence:
     """Full synthetic sequence, anchored so the first camera is the world frame."""
-    field_landmarks, field_plane_normal = generate_scene(cfg)
-    field_poses = generate_trajectory(cfg)
+    field_landmarks, _ = generate_scene(cfg)
+    field_R, field_t = generate_trajectory(cfg)
 
-    anchor = field_poses[0].inverse()  # field -> world(=first camera)
-    poses = [anchor.compose(p) for p in field_poses]
-    landmarks = field_landmarks @ anchor.R.T + anchor.t
-    plane_normal = anchor.R @ field_plane_normal
+    # field -> world(=first camera) is the inverse of the first pose
+    anchor_R, anchor_t = field_R[0].T, -field_R[0].T @ field_t[0]
+    R = anchor_R @ field_R
+    t = (anchor_R @ field_t[..., None])[..., 0] + anchor_t
+    landmarks = field_landmarks @ anchor_R.T + anchor_t
 
     sigma_norm = math.radians(cfg.normal_noise_deg)
     frames = []
-    for i, pose in enumerate(poses):
+    for i in range(len(R)):
         rng = np.random.default_rng([cfg.seed, 1, i])
         ids, measured, outlier_mask, pc = render_observations(
-            landmarks, pose, cfg, rng
+            landmarks, R[i], t[i], cfg, rng
         )
         normal, _ = estimate_frame_normal(pc)
         if sigma_norm > 0.0:
@@ -314,10 +309,8 @@ def generate_sequence(cfg: SceneConfig) -> SimulatedSequence:
     return SimulatedSequence(
         config=cfg,
         intrinsics=cfg.intrinsics,
-        poses=poses,
-        timestamps=np.arange(len(poses)) / cfg.frame_rate,
+        ground_truth=Trajectory(np.arange(len(R)) / cfg.frame_rate, R=R, t=t),
         landmark_ids=np.arange(len(landmarks), dtype=np.int64),
         landmark_positions=landmarks,
-        plane_normal=plane_normal,
         frames=frames,
     )

@@ -136,7 +136,7 @@ def test_criterion_2_zero_noise_consistency(capsys):
     seq = generate_sequence(scene)
     result = run_sequence(seq.frames, seq.intrinsics, SolverConfig())
     elapsed = time.perf_counter() - start
-    gt = Trajectory(seq.timestamps, list(seq.poses))
+    gt = seq.ground_truth
     report = ate(result.trajectory, gt)
 
     ok = report.rmse < 1e-6 and elapsed < 30.0

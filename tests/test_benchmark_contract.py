@@ -24,7 +24,7 @@ import pytest
 
 from normalvo import cli, estimator, factors, geometry
 from normalvo.estimator import SolverConfig
-from normalvo.evaluation import Trajectory, ate, rde
+from normalvo.evaluation import ate, rde
 from normalvo.geometry import PoseSE3
 from normalvo.simulator import SceneConfig, generate_sequence
 
@@ -118,7 +118,7 @@ def test_a_run_and_its_metrics_write_nothing_to_stdout(strip, capsys):
     # NaN metric prints there as null: a run must neither print after it nor
     # end without its metrics
     result = estimator.run_sequence(strip.frames, strip.intrinsics, SolverConfig())
-    gt = Trajectory(strip.timestamps, list(strip.poses))
+    gt = strip.ground_truth
     metrics = ate(result.trajectory, gt).rmse, rde(result.trajectory, gt, delta=20).mean
     assert capsys.readouterr().out == ""
     assert all(math.isfinite(m) for m in metrics)

@@ -129,11 +129,11 @@ def _assert_one_line_data_error(proc, message):
 )
 def test_negative_seed_is_a_data_error(tmp_path, command, text, message):
     # a negative seed would reach np.random.default_rng and end in its
-    # traceback; it is refused while the config is read
+    # traceback; it is refused while the config is read, naming the file
     cfg = tmp_path / "neg.cfg"
     cfg.write_text(text)
     proc = _cli(command, str(tmp_path / "out"), "--config", str(cfg))
-    _assert_one_line_data_error(proc, message)
+    _assert_one_line_data_error(proc, f"{cfg}: {message}")
     assert not (tmp_path / "out").exists()
 
 

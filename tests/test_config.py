@@ -234,14 +234,16 @@ def test_non_finite_float_settings_are_config_errors(key, value):
 
 
 def test_run_level_validation():
-    with pytest.raises(ConfigError, match="rde_delta"):
-        parse_config("rde_delta = 0")
+    # RunConfig's own errors name the config file like every other
+    # constructor error
+    with pytest.raises(ConfigError, match=r"^c\.txt: rde_delta must be at least 1$"):
+        parse_config("rde_delta = 0", source="c.txt")
     with pytest.raises(ConfigError, match="at least one"):
         RunConfig(seeds=())
-    with pytest.raises(ConfigError, match="distinct"):
-        parse_config("seeds = 4 4")
-    with pytest.raises(ConfigError, match="seeds must be non-negative"):
-        parse_config("seeds = -2 3")
+    with pytest.raises(ConfigError, match=r"^c\.txt: seeds must be distinct$"):
+        parse_config("seeds = 4 4", source="c.txt")
+    with pytest.raises(ConfigError, match=r"^c\.txt: seeds must be non-negative$"):
+        parse_config("seeds = -2 3", source="c.txt")
     with pytest.raises(ConfigError, match="seeds must be non-negative"):
         RunConfig(seeds=(-1,))
 

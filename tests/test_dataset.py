@@ -1,5 +1,6 @@
 """Trajectory files and dataset directories: exact round trips, hard errors."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -162,8 +163,7 @@ def test_ground_truth_file_is_write_idempotent(sim_seq, tmp_path):
     """Writing what the reader loaded reproduces the file byte for byte."""
     p1 = tmp_path / "a.txt"
     p2 = tmp_path / "b.txt"
-    gt = Trajectory(sim_seq.timestamps, list(sim_seq.poses))
-    save_trajectory(p1, gt, header="ground truth")
+    save_trajectory(p1, sim_seq.ground_truth, header="ground truth")
     save_trajectory(p2, load_trajectory(p1), header="ground truth")
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -200,12 +200,46 @@ def test_intrinsics_validation_wrapped(tmp_path):
 # --- dataset directories ---
 
 
+def tree_digest(root):
+    """SHA-256 over the relative name and bytes of every file under root,
+    as the benchmark digests its inputs."""
+    h = hashlib.sha256()
+    for f in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(f.relative_to(root).as_posix().encode() + b"\0")
+        h.update(f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "scene, digest",
+    [
+        (SCENE, "6eed1f41dd0e28647c1cccdeb257d6d22c61105667ff5ec2bd33961a6a54c694"),
+        (
+            SceneConfig(
+                landmark_count=800,
+                extent_x=12.0,
+                extent_y=21.0,
+                trajectory_length=30.0,
+                seed=5,
+            ),
+            "570f01dbd8333c38e3214daa6a8b1fde3074b3bba5edba86e6d66a8c1ddf1581",
+        ),
+    ],
+    ids=["line", "lawnmower-with-turns"],
+)
+def test_written_dataset_bytes_are_pinned(scene, digest, tmp_path):
+    # every file write_dataset writes, byte for byte: the simulator and the
+    # writers may change how they compute, not what they write
+    d = write_dataset(tmp_path / "data", generate_sequence(scene), RunConfig(scene=scene))
+    assert tree_digest(d) == digest
+
+
 def test_dataset_round_trip_is_exact(sim_seq, dataset_dir):
     ds = load_dataset(dataset_dir)
     assert ds.intrinsics == sim_seq.intrinsics
     assert np.array_equal(ds.landmark_ids, sim_seq.landmark_ids)
     assert np.array_equal(ds.landmark_positions, sim_seq.landmark_positions)
-    assert np.array_equal(ds.ground_truth.timestamps, sim_seq.timestamps)
+    assert np.array_equal(ds.ground_truth.timestamps, sim_seq.ground_truth.timestamps)
     assert len(ds.frames) == len(sim_seq.frames)
     for loaded, src in zip(ds.frames, sim_seq.frames):
         assert loaded.frame_id == src.frame_id

@@ -32,7 +32,7 @@ from normalvo.estimator import (
     select_keyframe,
     track_frame,
 )
-from normalvo.evaluation import Trajectory, ate
+from normalvo.evaluation import ate
 from normalvo.factors import (
     RobustLossConfig,
     huber,
@@ -302,8 +302,8 @@ def test_track_recovers_exact_pose_from_perturbed_start():
 
     result = track_frame(ms, frame, config, prev_pose=init)
 
-    np.testing.assert_allclose(result.pose.R, w2c.R, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.R, w2c.R, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=1e-6)
     assert result.matched == 60
     assert result.inlier_ids.size == 60
     assert result.outlier_ids.size == 0
@@ -319,8 +319,8 @@ def test_track_first_frame_without_history_stays_at_identity():
     ms = landmark_map(points, config)
     frame = frame_at(PoseSE3.identity(), points)
     result = track_frame(ms, frame, config)
-    assert np.array_equal(result.pose.R, np.eye(3))
-    assert np.array_equal(result.pose.t, np.zeros(3))
+    assert np.array_equal(result.R, np.eye(3))
+    assert np.array_equal(result.t, np.zeros(3))
     assert result.inlier_ids.size == 40
 
 
@@ -384,7 +384,7 @@ def test_track_partitions_inliers_and_outliers():
     assert result.matched == 30
     # the outliers stay in the robust sum, so the minimum sits near, not at,
     # the true pose; only the classification must be exact
-    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=0.02)
+    np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=0.02)
 
 
 def test_track_with_consistent_normal_still_exact():
@@ -403,8 +403,8 @@ def test_track_with_consistent_normal_still_exact():
 
     result = track_frame(ms, frame, config, prev_pose=init)
 
-    np.testing.assert_allclose(result.pose.R, w2c.R, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.R, w2c.R, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=1e-6)
     assert result.cost <= 1e-10
 
 
@@ -417,7 +417,7 @@ def test_track_tolerates_missing_frame_normal():
     w2c = se3_exp(np.array([0.1, 0.0, 0.05, 0.0, 0.01, 0.0]))
     frame = frame_at(w2c, points)  # no frame normal attached
     result = track_frame(ms, frame, config, prev_pose=w2c)
-    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=1e-8)
 
 
 def reference_track_frame(map_state, frame, config, prev_pose, prev_prev_pose):
@@ -544,8 +544,8 @@ def test_track_frame_matches_reference_tracker_on_noisy_strip(monkeypatch):
         pose, inlier_ids, outlier_ids, cost = expected
         np.testing.assert_array_equal(result.inlier_ids, inlier_ids)
         np.testing.assert_array_equal(result.outlier_ids, outlier_ids)
-        np.testing.assert_allclose(result.pose.R, pose.R, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(result.pose.t, pose.t, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.R, pose.R, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.t, pose.t, rtol=0, atol=1e-9)
         assert result.cost == pytest.approx(cost, rel=1e-12)
         compared.append((outlier_ids.size, frame.frame_normal is not None))
         return result
@@ -608,7 +608,7 @@ def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
     np.testing.assert_array_equal(damped[1][off], damped[0][off])
     assert np.all(np.diag(damped[1]) > np.diag(damped[0]))
     if result is not None:
-        assert (result.pose.R @ close[0] + result.pose.t)[2] > 0.0
+        assert (result.R @ close[0] + result.t)[2] > 0.0
 
 
 def test_predicted_decrease_equals_the_model_decrease():
@@ -644,7 +644,7 @@ def test_default_stopping_rule_halves_the_evaluations(monkeypatch, outlier_rate)
     for config in (SolverConfig(cost_tolerance=1e-10), SolverConfig()):
         calls.append(0)
         result = run_sequence(seq.frames, seq.intrinsics, config)
-        errors.append(ate(result.trajectory, gt_trajectory(seq)).rmse)
+        errors.append(ate(result.trajectory, seq.ground_truth).rmse)
     assert calls[1] <= 0.6 * calls[0]
     assert errors[1] <= 1.1 * errors[0]
 
@@ -670,8 +670,8 @@ def test_track_at_the_damping_ceiling_keeps_its_start_pose(monkeypatch):
     # one solve per damping value from initial_damping up to the ceiling
     steps = math.log10(config.damping_ceiling / config.initial_damping)
     assert len(tried) == round(steps) + 1
-    np.testing.assert_array_equal(result.pose.R, w2c.R)
-    np.testing.assert_array_equal(result.pose.t, w2c.t)
+    np.testing.assert_array_equal(result.R, w2c.R)
+    np.testing.assert_array_equal(result.t, w2c.t)
     assert result.inlier_ids.size == 40
 
     # from a start far off the frame's pose, the same solve fails the inlier
@@ -717,8 +717,8 @@ def test_track_retries_a_singular_solve_with_more_damping(monkeypatch):
     )
     assert len(solves) > 2  # the solve went on past the retried step
     # from 6 cm off, the exact measurements pull it to within 1e-6
-    np.testing.assert_allclose(result.pose.R, w2c.R, rtol=0, atol=1e-6)
-    np.testing.assert_allclose(result.pose.t, w2c.t, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.R, w2c.R, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=1e-6)
     assert result.inlier_ids.size == 40
 
 
@@ -1307,7 +1307,7 @@ def test_ba_vectorized_cost_matches_reference_loop():
     solo = MapState(K, config)
     solo.world_normal = ms.world_normal
     basis = make_tangent_basis(normal)
-    solo.add_keyframe(2, result.pose, normal, basis)
+    solo.add_keyframe(2, result, normal, basis)
     solo.add_landmarks(ids, points)
     solo.add_observations(0, ids, meas)
     assert result.cost == pytest.approx(reference_map_cost(solo, config), rel=1e-12)
@@ -1484,14 +1484,10 @@ def clean_seq():
     )
 
 
-def gt_trajectory(seq):
-    return Trajectory(seq.timestamps, list(seq.poses))
-
-
 def test_run_sequence_recovers_clean_scene(clean_seq):
     result = run_sequence(clean_seq.frames, clean_seq.intrinsics, SolverConfig())
     assert len(result.trajectory) == clean_seq.config.frame_count
-    report = ate(result.trajectory, gt_trajectory(clean_seq), S=PoseSE3.identity())
+    report = ate(result.trajectory, clean_seq.ground_truth, S=PoseSE3.identity())
     assert report.rmse < 1e-6
 
 
@@ -1531,7 +1527,10 @@ def test_zero_weight_equals_running_without_normals(noisy_seq):
 
 def _blank_frame(seq, fid):
     return FrameData(
-        fid, float(seq.timestamps[fid]), np.zeros(0, dtype=int), np.zeros((0, 3))
+        fid,
+        float(seq.ground_truth.timestamps[fid]),
+        np.zeros(0, dtype=int),
+        np.zeros((0, 3)),
     )
 
 
@@ -1547,7 +1546,7 @@ def test_run_sequence_coasts_through_short_visibility_gap(clean_seq):
         assert rec.keyframe_id is None
     assert result.records[23].inliers > 0
     # constant-velocity coasting is exact on this constant-velocity path
-    report = ate(result.trajectory, gt_trajectory(clean_seq), S=PoseSE3.identity())
+    report = ate(result.trajectory, clean_seq.ground_truth, S=PoseSE3.identity())
     assert report.rmse < 1e-6
 
 
@@ -1599,20 +1598,21 @@ def test_run_output_holds_final_keyframe_poses_and_tracked_poses(noisy_seq):
     assert len(result.trajectory) == len(result.records) == len(frames)
     moved = 0
     for rec, pose in zip(result.records, result.trajectory.poses):
+        tracked = PoseSE3(rec.R, rec.t).inverse()
         if rec.keyframe_id is None:
-            expected = rec.tracked_pose.inverse()
+            expected = tracked
         else:
             k = rec.keyframe_id
             expected = PoseSE3(ms.kf_R[k], ms.kf_t[k]).inverse()
-            moved += not np.array_equal(expected.t, rec.tracked_pose.inverse().t)
+            moved += not np.array_equal(expected.t, tracked.t)
         np.testing.assert_array_equal(pose.R, expected.R)
         np.testing.assert_array_equal(pose.t, expected.t)
     assert moved > 0  # bundle adjustment moved keyframes off their tracked poses
 
 
 def test_run_builds_at_most_one_pose_per_keyframe(noisy_seq, monkeypatch):
-    # tracked and coasted poses, records and the output trajectory stay
-    # arrays; a pose is validated as a PoseSE3 only where it enters the map
+    # tracked and coasted poses, records, keyframe insertion and the output
+    # trajectory stay arrays; the one PoseSE3 is the bootstrap identity
     frames = list(noisy_seq.frames)
     for fid in (30, 31):
         frames[fid] = _blank_frame(noisy_seq, fid)
@@ -1627,7 +1627,7 @@ def test_run_builds_at_most_one_pose_per_keyframe(noisy_seq, monkeypatch):
     result = run_sequence(frames, noisy_seq.intrinsics, SolverConfig())
     coasted = sum(r.keyframe_id is None and r.matched == 0 for r in result.records)
     assert coasted == 2
-    assert 0 < len(built) <= len(result.map_state.keyframes)
+    assert len(built) == 1
 
 
 def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch):
@@ -1721,10 +1721,10 @@ def test_normal_constraint_cuts_tilt_drift_on_degenerate_scene():
 
     def mean_tilt_deg(result):
         total = 0.0
-        for est, gt in zip(result.trajectory.poses, seq.poses):
+        for est, gt in zip(result.trajectory.poses, seq.ground_truth.poses):
             err = est.R.T @ gt.R
             total += math.degrees(math.acos(min(1.0, max(-1.0, err[2, 2]))))
-        return total / len(seq.poses)
+        return total / len(seq.ground_truth)
 
     assert len(base.trajectory) == cfg.frame_count
     assert len(anchored.trajectory) == cfg.frame_count

@@ -7,6 +7,8 @@ from normalvo.geometry import Intrinsics, PoseSE3, so3_exp
 from normalvo.simulator import (
     DegenerateCloud,
     SceneConfig,
+    _path_segments,
+    _pose_at,
     estimate_frame_normal,
     generate_scene,
     generate_sequence,
@@ -127,17 +129,15 @@ def test_scene_respects_extent():
 def test_straight_line_spacing():
     cfg = small_cfg(trajectory_shape="line", speed=1.0, frame_rate=30.0,
                     trajectory_length=5.0)
-    poses = generate_trajectory(cfg)
-    gaps = [
-        np.linalg.norm(b.t - a.t) for a, b in zip(poses[:-1], poses[1:])
-    ]
+    _, t = generate_trajectory(cfg)
+    gaps = np.linalg.norm(np.diff(t, axis=0), axis=1)
     np.testing.assert_allclose(gaps, 1.0 / 30.0, atol=1e-12)
 
 
 def test_lawnmower_heading_reverses_once_continuously():
     cfg = small_cfg(trajectory_length=35.0, speed=2.0, frame_rate=20.0)
-    poses = generate_trajectory(cfg)
-    headings = np.array([np.arctan2(p.R[1, 0], p.R[0, 0]) for p in poses])
+    R, _ = generate_trajectory(cfg)
+    headings = np.arctan2(R[:, 1, 0], R[:, 0, 0])
     unwrapped = np.unwrap(headings)
     # never jumps more than one frame's worth of turn
     assert np.max(np.abs(np.diff(unwrapped))) < 0.2
@@ -149,16 +149,15 @@ def test_lawnmower_heading_reverses_once_continuously():
 
 
 def test_first_pose_is_downward_looking_at_lane_start():
-    poses = generate_trajectory(small_cfg())
-    p0 = poses[0]
-    np.testing.assert_allclose(p0.R[:, 2], [0.0, 0.0, -1.0], atol=0)
-    assert p0.t[2] == small_cfg().altitude
+    R, t = generate_trajectory(small_cfg())
+    np.testing.assert_allclose(R[0][:, 2], [0.0, 0.0, -1.0], atol=0)
+    assert t[0][2] == small_cfg().altitude
 
 
 def test_sequence_anchored_to_first_camera():
     cfg = small_cfg()
     seq = generate_sequence(cfg)
-    np.testing.assert_allclose(pose_matrix(seq.poses[0]), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(pose_matrix(seq.ground_truth.poses[0]), np.eye(4), atol=1e-12)
     # ground plane sits at depth ~altitude in front of the first camera
     assert abs(np.mean(seq.landmark_positions[:, 2]) - cfg.altitude) < 0.3
 
@@ -172,7 +171,7 @@ def test_render_noiseless_matches_projection():
     from normalvo.geometry import project
 
     for frame in seq.frames[:5]:
-        pose = seq.poses[frame.frame_id]
+        pose = seq.ground_truth.poses[frame.frame_id]
         w2c = pose.inverse()
         pts = seq.landmark_positions[frame.landmark_ids]
         clean = project(cfg.intrinsics, pts @ w2c.R.T + w2c.t)
@@ -185,7 +184,7 @@ def test_render_culls_points_behind_camera():
     landmarks = np.array([[0.0, 0.0, 4.0], [0.0, 0.0, -4.0], [0.1, 0.1, 3.0]])
     rng = np.random.default_rng(0)
     ids, meas, mask, pc = render_observations(
-        landmarks, PoseSE3.identity(), cfg, rng
+        landmarks, np.eye(3), np.zeros(3), cfg, rng
     )
     assert 1 not in ids
     assert np.all(pc[:, 2] > 0)
@@ -209,7 +208,7 @@ def test_render_outliers_have_configured_magnitude():
     from normalvo.geometry import project
 
     frame = next(f for f in seq.frames if f.outlier_mask.any())
-    pose = seq.poses[frame.frame_id].inverse()
+    pose = seq.ground_truth.poses[frame.frame_id].inverse()
     pts = seq.landmark_positions[frame.landmark_ids]
     clean = project(cfg.intrinsics, pts @ pose.R.T + pose.t)
     err = np.linalg.norm(frame.measurements - clean, axis=1)
@@ -232,15 +231,76 @@ def test_sequence_bit_identical_across_runs():
         assert np.array_equal(fa.measurements, fb.measurements)
         assert np.array_equal(fa.landmark_ids, fb.landmark_ids)
         assert np.array_equal(fa.frame_normal, fb.frame_normal)
-    for pa, pb in zip(a.poses, b.poses):
+    for pa, pb in zip(a.ground_truth.poses, b.ground_truth.poses):
         assert np.array_equal(pose_matrix(pa), pose_matrix(pb))
+
+
+def reference_sequence(cfg):
+    """Ground truth and frames by one PoseSE3 per frame: each field pose
+    composed with the inverse of the first, and each frame rendered from the
+    landmarks moved into its camera by that pose's inverse."""
+    segments = _path_segments(cfg)
+    available = sum(seg[-1] for seg in segments)
+    ds = cfg.speed / cfg.frame_rate
+    field_poses = [
+        PoseSE3(*_pose_at(segments, min(i * ds, available - 1e-9), cfg.altitude))
+        for i in range(cfg.frame_count)
+    ]
+    anchor = field_poses[0].inverse()
+    poses = [anchor.compose(p) for p in field_poses]
+    landmarks = generate_scene(cfg)[0] @ anchor.R.T + anchor.t
+    frames = []
+    for i, pose in enumerate(poses):
+        w2c = pose.inverse()
+        # camera-frame points seen from the identity pose render unchanged
+        frames.append(render_observations(
+            landmarks @ w2c.R.T + w2c.t, np.eye(3), np.zeros(3), cfg,
+            np.random.default_rng([cfg.seed, 1, i]),
+        ))
+    return poses, landmarks, frames
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        dict(trajectory_shape="line", trajectory_length=12.0, seed=3),
+        dict(seed=5),  # the lawnmower's first lane and part of its turn
+        dict(seed=29),
+    ],
+)
+def test_ground_truth_is_bit_identical_to_per_frame_poses(scene):
+    cfg = small_cfg(**scene)
+    seq = generate_sequence(cfg)
+    poses, landmarks, frames = reference_sequence(cfg)
+    assert np.array_equal(seq.ground_truth.R, [p.R for p in poses])
+    assert np.array_equal(seq.ground_truth.t, [p.t for p in poses])
+    assert np.array_equal(seq.landmark_positions, landmarks)
+    assert len(seq.frames) == len(frames)
+    for frame, (ids, meas, mask, _) in zip(seq.frames, frames):
+        assert np.array_equal(frame.landmark_ids, ids)
+        assert np.array_equal(frame.measurements, meas)
+        assert np.array_equal(frame.outlier_mask, mask)
+
+
+def test_generate_sequence_builds_no_pose(monkeypatch):
+    built = []
+    original = PoseSE3.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PoseSE3, "__post_init__", counting)
+    seq = generate_sequence(small_cfg())
+    assert len(seq.ground_truth) == small_cfg().frame_count
+    assert built == []
 
 
 def test_viewing_axis_scatter_far_below_lateral():
     cfg = small_cfg(roughness=0.01, pixel_noise=0.0, outlier_rate=0.0)
     seq = generate_sequence(cfg)
     frame = seq.frames[0]
-    pose = seq.poses[0].inverse()
+    pose = seq.ground_truth.poses[0].inverse()
     pc = seq.landmark_positions[frame.landmark_ids] @ pose.R.T + pose.t
     depth_sd = np.std(pc[:, 2])
     lateral_sd = max(np.std(pc[:, 0]), np.std(pc[:, 1]))
