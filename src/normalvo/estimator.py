@@ -27,7 +27,6 @@ from .factors import (
     huber,
     make_tangent_basis,
     normal_jacobian,
-    normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
     reprojection_pose_jacobian,
@@ -313,8 +312,14 @@ class MapState:
         self._dead += obs_ids.size
         touched = np.unique(self.obs_lm[obs_ids])
         orphans = np.setdiff1d(touched, self.obs_lm[self.observation_rows(touched)])
-        if orphans.size:
-            rows = np.searchsorted(self.landmarks, orphans)
+        self.remove_landmarks(np.searchsorted(self.landmarks, orphans))
+
+    def remove_landmarks(self, rows):
+        """Delete the landmarks at ``rows`` with their observations, then compact."""
+        if rows.size:
+            obs_ids = self.observation_rows(self.landmarks[rows])
+            self.obs_kf[obs_ids] = -1
+            self._dead += obs_ids.size
             self.landmarks = np.delete(self.landmarks, rows)
             self.lm_pos = np.delete(self.lm_pos, rows, axis=0)
             self.lm_misses = np.delete(self.lm_misses, rows)
@@ -367,7 +372,7 @@ class TrackResult:
     cost: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Evaluation:
     """The robust objective at one state, with the per-row terms it sums."""
 
@@ -375,9 +380,10 @@ class _Evaluation:
     r: np.ndarray  # (M, 3) whitened reprojection residuals, inf behind camera
     sq: np.ndarray  # (M,) whitened squared norms, inf behind the camera
     w: np.ndarray  # (M,) IRLS weights of the reprojection rows
-    rn: np.ndarray  # (N, 2) weighted normal residuals
-    wn: np.ndarray  # (N,) IRLS weights of the normal rows
+    rn: np.ndarray | tuple  # (N, 2) weighted normal residuals; tracking's as a pair
+    wn: np.ndarray | float  # (N,) IRLS weights of the normal rows; tracking's one
     cost: float  # Huber total, inf when any point is behind its camera
+    J_phi: np.ndarray | None = None  # rotation Jacobian (2, 3) of tracking's row
 
 
 def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
@@ -386,8 +392,10 @@ def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
     Reprojection row i is ``pc[i]`` measured as ``measured[i]``; a row
     behind its camera gets infinite residuals, so it costs inf and weighs 0.
     ``normals``, a triple (world-to-camera rotations, tangent bases, frame
-    normals) of the keyframes or frame that measured one, adds their
-    weighted tangent-plane factors against the world normal ``n_w``.
+    normals) of the keyframes that measured one, adds their weighted
+    tangent-plane factors against the world normal ``n_w``. A tracked frame
+    passes its one rotation unbatched, with its basis and normal as float
+    triples and a unit ``n_w``, and gets its row's rotation Jacobian too.
     """
     front = pc[:, 2] > 0.0
     behind = not front.all()
@@ -399,17 +407,21 @@ def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
     sq = np.einsum("ij,ij->i", r, r)
     rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
     cost = float(rho.sum())
-    rn, wn = np.zeros((0, 2)), np.zeros(0)
-    if normals is not None:
-        rotations, basis, frame_normals = normals
-        rn = math.sqrt(config.loss.normal_weight) * normal_residual(
-            basis, rotations, n_w, frame_normals
-        )
-        rho_n, wn = huber(
-            np.sqrt(np.einsum("ij,ij->i", rn, rn)), config.loss.huber_delta_normal
-        )
-        cost += float(rho_n.sum())
-    return _Evaluation(pc=pc, r=r, sq=sq, w=w, rn=rn, wn=wn, cost=cost)
+    if normals is None:
+        return _Evaluation(pc, r, sq, w, np.zeros((0, 2)), np.zeros(0), cost)
+    rotations, basis, frame_normals = normals
+    s, delta_n = math.sqrt(config.loss.normal_weight), config.loss.huber_delta_normal
+    if rotations.ndim == 2:  # one row in 3-vector floats, at m = R n_hat
+        mx, my, mz = m = (rotations @ n_w).tolist()
+        d = [a - b for a, b in zip(m, frame_normals)]
+        rn = tuple(s * (a * d[0] + b * d[1] + c * d[2]) for a, b, c in basis)
+        rho_n, wn = huber(math.hypot(*rn), delta_n)
+        # -sqrt(w) B skew(m), whose row i is sqrt(w) m x b_i
+        J = [(my * c - mz * b, mz * a - mx * c, mx * b - my * a) for a, b, c in basis]
+        return _Evaluation(pc, r, sq, w, rn, wn, cost + rho_n, s * np.array(J))
+    rn = s * normal_residual(basis, rotations, n_w, frame_normals)
+    rho_n, wn = huber(np.sqrt(np.einsum("ij,ij->i", rn, rn)), delta_n)
+    return _Evaluation(pc, r, sq, w, rn, wn, cost + float(rho_n.sum()))
 
 
 def _predicted_decrease(g, d, h, lam) -> float:
@@ -498,11 +510,11 @@ def track_frame(
         and frame.frame_normal is not None
     )
     if use_normal:
-        basis = frame.tangent_basis
-        normal_terms = (basis[None], frame.frame_normal[None])
+        basis, n_k = frame.tangent_basis.tolist(), frame.frame_normal.tolist()
+        n_w = n_w / math.sqrt(n_w @ n_w)
 
     def evaluate(R, t) -> _Evaluation:
-        normals = (R[None], *normal_terms) if use_normal else None
+        normals = (R, basis, n_k) if use_normal else None
         return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
 
     # the pose is held as one (3, 3), (3,) pair while it is solved
@@ -525,11 +537,8 @@ def track_frame(
         H = Jp.T @ wJp
         g = wJp.T @ ev.r.ravel()
         if use_normal:
-            J_phi = math.sqrt(config.loss.normal_weight) * normal_pose_jacobian(
-                basis, R, n_w
-            )
-            H[3:, 3:] += ev.wn[0] * J_phi.T @ J_phi
-            g[3:] += ev.wn[0] * J_phi.T @ ev.rn[0]
+            H[3:, 3:] += ev.wn * ev.J_phi.T @ ev.J_phi
+            g[3:] += ev.wn * ev.J_phi.T @ ev.rn
         d = H.diagonal()
         lam, state, converged = _damped_step(config, lam, ev.cost, g, d, solve, trial)
         if state is not None:
@@ -583,9 +592,9 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
     rows = map_state.landmark_rows(track.outlier_ids)
     rows = rows[rows >= 0]
     misses[rows] += 1
-    culled = map_state.landmarks[rows[misses[rows] >= config.cull_misses]]
+    culled = rows[misses[rows] >= config.cull_misses]
     if culled.size:
-        map_state.remove_observations(map_state.observation_rows(culled))
+        map_state.remove_landmarks(culled)
         logger.debug("culled %d landmarks after frame tracking", culled.size)
     return int(culled.size)
 

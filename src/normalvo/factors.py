@@ -50,13 +50,14 @@ def huber(r, delta: float):
     weight = rho'(r) / (2 r), which is 1 in the quadratic branch (and at r=0)
              and delta/|r| in the linear branch.
     """
+    if np.ndim(r) == 0:  # one norm, in Python floats
+        a = abs(float(r))
+        cost = a * a if a <= delta else 2.0 * delta * a - delta * delta
+        return cost, delta / max(a, delta)
     r = np.asarray(r, dtype=float)
     a = np.abs(r)
     cost = np.where(a <= delta, r * r, 2.0 * delta * a - delta * delta)
-    weight = delta / np.maximum(a, delta)
-    if r.ndim == 0:
-        return float(cost), float(weight)
-    return cost, weight
+    return cost, delta / np.maximum(a, delta)
 
 
 def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:

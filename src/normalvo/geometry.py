@@ -293,14 +293,14 @@ def project(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     Raises NonPositiveDepth if any Z <= 0.
     """
     pc = np.asarray(pc, dtype=float)
-    x, y, z = pc[..., 0], pc[..., 1], pc[..., 2]
+    z = pc[..., 2:]
     if (z <= 0.0).any():
         raise NonPositiveDepth(f"depth must be positive, got min Z = {z.min()!r}")
-    out = np.empty(pc.shape)
-    out[..., 0] = K.fx * x / z + K.cx
-    out[..., 1] = K.fy * y / z + K.cy
-    out[..., 2] = K.fx * (x - K.b) / z + K.cx
-    return out
+    uvu = pc.take((0, 1, 0), axis=-1) - (0.0, 0.0, K.b)  # then scaled in place
+    uvu *= (K.fx, K.fy, K.fx)
+    uvu /= z
+    uvu += (K.cx, K.cy, K.cx)
+    return uvu
 
 
 def triangulate(

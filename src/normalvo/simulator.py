@@ -128,15 +128,14 @@ def estimate_frame_normal(points: np.ndarray):
 def generate_scene(cfg: SceneConfig):
     """Uniform landmark field on a rough plane, in field coordinates.
 
-    Returns (positions (M,3), exact_plane_normal (3,)). Field coordinates:
-    x in [0, extent_x], y in [0, extent_y], z up; the noiseless plane is
-    z = plane_height and its exact normal is +z.
+    Returns positions (M,3). Field coordinates: x in [0, extent_x],
+    y in [0, extent_y], z up; the noiseless plane is z = plane_height.
     """
     rng = np.random.default_rng([cfg.seed, 0])
     m = cfg.landmark_count
     xy = rng.uniform([0.0, 0.0], [cfg.extent_x, cfg.extent_y], size=(m, 2))
     z = cfg.plane_height + rng.normal(0.0, cfg.roughness, size=m)
-    return np.column_stack([xy, z]), np.array([0.0, 0.0, 1.0])
+    return np.column_stack([xy, z])
 
 
 def _path_segments(cfg: SceneConfig):
@@ -272,7 +271,7 @@ def render_observations(
 
 def generate_sequence(cfg: SceneConfig) -> SimulatedSequence:
     """Full synthetic sequence, anchored so the first camera is the world frame."""
-    field_landmarks, _ = generate_scene(cfg)
+    field_landmarks = generate_scene(cfg)
     field_R, field_t = generate_trajectory(cfg)
 
     # field -> world(=first camera) is the inverse of the first pose

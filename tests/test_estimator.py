@@ -38,6 +38,7 @@ from normalvo.factors import (
     huber,
     make_tangent_basis,
     normal_jacobian,
+    normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
 )
@@ -556,6 +557,84 @@ def test_track_frame_matches_reference_tracker_on_noisy_strip(monkeypatch):
     assert len(compared) == len(seq.frames) - 1
     assert sum(n for n, _ in compared) >= len(compared)  # outliers were met
     assert all(has_normal for _, has_normal in compared)
+
+
+def test_tracker_normal_row_matches_the_batched_factor():
+    # a tracked frame's one normal row is formed in 3-vector floats; the
+    # batched factor that bundle adjustment uses is the reference for the
+    # weighted residual, its Huber cost and weight and the rotation
+    # Jacobian, on both branches of the tangent basis and of the Huber loss
+    config = SolverConfig()
+    sqrt_w = math.sqrt(config.loss.normal_weight)
+    delta = config.loss.huber_delta_normal
+    no_rows = np.zeros((0, 3))  # no reprojection rows: the cost is the normal row's
+    rng = np.random.default_rng(23)
+    branches, knees = set(), set()
+    for _ in range(300):
+        n_hat = unit(rng.normal(size=3))
+        R = so3_exp(rng.normal(size=3))
+        # frame normals from exactly consistent to far off the rotated one
+        n_k = unit(R @ n_hat + rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 0.0))
+        basis = make_tangent_basis(n_k)
+        row = (R, basis.tolist(), n_k.tolist())
+        ev = estimator._evaluate(K, config, no_rows, no_rows, row, n_hat.tolist())
+        batched = estimator._evaluate(
+            K, config, no_rows, no_rows, (R[None], basis[None], n_k[None]), n_hat
+        )
+
+        ref = sqrt_w * normal_residual(basis, R, n_hat, n_k)
+        ref_rho, ref_w = huber(np.linalg.norm(ref), delta)
+        np.testing.assert_allclose(ev.rn, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ev.rn, batched.rn[0], rtol=0, atol=1e-12)
+        assert ev.cost == pytest.approx(ref_rho, rel=1e-12, abs=1e-12)
+        assert ev.cost == pytest.approx(batched.cost, rel=1e-12, abs=1e-12)
+        assert ev.wn == pytest.approx(ref_w, rel=1e-12)
+        assert ev.wn == pytest.approx(batched.wn[0], rel=1e-12)
+        ref_J = sqrt_w * normal_pose_jacobian(basis, R, n_hat)
+        np.testing.assert_allclose(ev.J_phi, ref_J, rtol=0, atol=1e-12)
+        # the rotation Jacobian against central differences of the residual
+        # under a left-multiplied rotation
+        eps = 1e-6
+        fd = np.column_stack(
+            [
+                normal_residual(basis, so3_exp(eps * e) @ R, n_hat, n_k)
+                - normal_residual(basis, so3_exp(-eps * e) @ R, n_hat, n_k)
+                for e in np.eye(3)
+            ]
+        ) * (sqrt_w / (2.0 * eps))
+        np.testing.assert_allclose(ev.J_phi, fd, rtol=0, atol=1e-6)
+        branches.add(abs(n_k[0]) > 0.9)
+        knees.add(ev.wn < 1.0)
+    assert branches == {True, False}
+    assert knees == {True, False}
+
+
+def test_track_reads_the_world_normal_as_a_direction():
+    # a world normal of norm 3.7 tracks a frame as its unit direction does,
+    # and as the reference tracker, whose batched factor normalizes it
+    config = SolverConfig()
+    rng = np.random.default_rng(32)
+    points = scatter_points(rng, 50)
+    n_w = unit([0.1, -0.2, -0.97])
+    w2c = se3_exp(np.array([-0.1, 0.05, 0.15, 0.02, -0.03, 0.01]))
+    meas = project(K, points @ w2c.R.T + w2c.t) + rng.normal(0.0, 0.5, (50, 3))
+    # a frame normal 1.3 degrees off the true one, so the normal row pulls
+    normal = unit(w2c.R @ n_w + np.array([0.02, -0.01, 0.0]))
+    frame = FrameData(1, 1.0, np.arange(50), meas, normal)
+    init = se3_exp(np.array([0.01, -0.02, 0.0, 0.005, 0.0, -0.004])).compose(w2c)
+    results = []
+    for scale in (1.0, 3.7):
+        ms = landmark_map(points, config)
+        ms.world_normal = scale * n_w
+        results.append(track_frame(ms, frame, config, prev_pose=init))
+        pose, inlier_ids, _, cost = reference_track_frame(ms, frame, config, init, None)
+        np.testing.assert_array_equal(results[-1].inlier_ids, inlier_ids)
+        np.testing.assert_allclose(results[-1].R, pose.R, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(results[-1].t, pose.t, rtol=0, atol=1e-9)
+        assert results[-1].cost == pytest.approx(cost, rel=1e-12)
+    np.testing.assert_allclose(results[1].R, results[0].R, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(results[1].t, results[0].t, rtol=0, atol=1e-12)
+    assert results[1].cost == pytest.approx(results[0].cost, rel=1e-12)
 
 
 def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
@@ -1685,6 +1764,40 @@ def test_map_bookkeeping_matches_recount_after_culls_and_rejections(monkeypatch)
     np.testing.assert_array_equal(ms.kf_t, uncompacted.kf_t)
     np.testing.assert_array_equal(ms.landmarks, uncompacted.landmarks)
     np.testing.assert_array_equal(ms.lm_pos, uncompacted.lm_pos)
+    assert_map_consistent(ms)
+
+
+def test_culling_removes_landmarks_as_removing_their_observations_does(monkeypatch):
+    # every cull of a run deletes its landmarks directly; the same deletion
+    # through remove_observations of all their rows, on a copy of the map,
+    # must leave the same arrays, dead-row count and index reads, across the
+    # compactions that some culls trigger (a single rejection culls here)
+    seq = generate_sequence(small_scene(pixel_noise=1.0))
+    config = SolverConfig(cull_misses=1)
+    original = MapState.remove_landmarks
+    culls, compactions = [0], [0]
+
+    def compared(ms, rows):
+        ids = ms.landmarks[rows]
+        twin = copy.deepcopy(ms)
+        # the twin deletes its orphans through the unpatched method
+        twin.remove_landmarks = original.__get__(twin)
+        twin.remove_observations(twin.observation_rows(ids))
+        size = ms.obs_kf.size
+        original(ms, rows)
+        culls[0] += 1
+        compactions[0] += ms.obs_kf.size < size
+        for name in ("landmarks", "lm_pos", "lm_misses", "obs_kf", "obs_lm", "obs_uvu"):
+            np.testing.assert_array_equal(getattr(ms, name), getattr(twin, name))
+        assert ms._dead == twin._dead
+        query = np.concatenate([ms.landmarks, ids, [-3, 10**9]])
+        np.testing.assert_array_equal(
+            ms.observation_rows(query), twin.observation_rows(query)
+        )
+
+    monkeypatch.setattr(MapState, "remove_landmarks", compared)
+    ms = run_sequence(seq.frames, seq.intrinsics, config).map_state
+    assert culls[0] > 0 and compactions[0] > 0
     assert_map_consistent(ms)
 
 

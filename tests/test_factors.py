@@ -169,6 +169,17 @@ def test_huber_continuous_at_delta():
     assert abs(c_in - delta * delta) < 1e-12
 
 
+def test_huber_scalar_matches_the_array_path():
+    delta = 1.7
+    r = np.array([-3.0, -delta, 0.0, 0.5, delta, delta + 1e-12, 2.0, 1e9, np.inf])
+    cost, weight = huber(r, delta)
+    for i, x in enumerate(r):
+        for scalar in (float(x), np.float64(x), np.array(x)):
+            c, w = huber(scalar, delta)
+            assert type(c) is float and type(w) is float
+            assert c == cost[i] and w == weight[i]
+
+
 def test_huber_weight_bounds_and_monotone_cost():
     r = np.linspace(0.0, 10.0, 1001)
     cost, weight = huber(r, 2.0)

@@ -98,27 +98,27 @@ def test_normal_rejects_degenerate_clouds():
 
 def test_scene_fitted_normal_close_to_truth():
     cfg = SceneConfig(landmark_count=2000, extent_x=20.0, extent_y=5.0, roughness=0.01)
-    pts, true_normal = generate_scene(cfg)
+    pts = generate_scene(cfg)
     n, _ = estimate_frame_normal(pts)
-    cos = abs(np.dot(n, true_normal))
+    cos = abs(np.dot(n, [0.0, 0.0, 1.0]))  # the noiseless plane is z = const
     assert np.degrees(np.arccos(min(1.0, cos))) < 0.2
 
 
 def test_scene_zero_roughness_is_coplanar():
     cfg = small_cfg(roughness=0.0, plane_height=1.5)
-    pts, _ = generate_scene(cfg)
+    pts = generate_scene(cfg)
     assert np.max(np.abs(pts[:, 2] - 1.5)) == 0.0
 
 
 def test_scene_deterministic():
     cfg = small_cfg()
-    a, _ = generate_scene(cfg)
-    b, _ = generate_scene(cfg)
+    a = generate_scene(cfg)
+    b = generate_scene(cfg)
     assert np.array_equal(a, b)
 
 
 def test_scene_respects_extent():
-    pts, _ = generate_scene(small_cfg())
+    pts = generate_scene(small_cfg())
     assert pts[:, 0].min() >= 0.0 and pts[:, 0].max() <= 20.0
     assert pts[:, 1].min() >= 0.0 and pts[:, 1].max() <= 14.0
 
@@ -248,7 +248,7 @@ def reference_sequence(cfg):
     ]
     anchor = field_poses[0].inverse()
     poses = [anchor.compose(p) for p in field_poses]
-    landmarks = generate_scene(cfg)[0] @ anchor.R.T + anchor.t
+    landmarks = generate_scene(cfg) @ anchor.R.T + anchor.t
     frames = []
     for i, pose in enumerate(poses):
         w2c = pose.inverse()
