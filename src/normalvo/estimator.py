@@ -28,11 +28,11 @@ from .factors import (
     make_tangent_basis,
     normal_jacobian,
     normal_residual,
-    reprojection_jacobians,
-    reprojection_pose_jacobian,
+    reprojection_row_jacobians,
 )
 from .geometry import (
     Intrinsics,
+    NonPositiveDepth,
     PoseSE3,
     check_finite,
     project,
@@ -370,6 +370,8 @@ class TrackResult:
     outlier_ids: np.ndarray
     matched: int
     cost: float
+    inlier_rows: np.ndarray  # landmark rows of the ids, until the map changes
+    outlier_rows: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,7 +502,8 @@ def track_frame(
             f"{matched_ids.size} mapped observations, "
             f"need {config.min_track_observations}",
         )
-    points = map_state.lm_pos[lm_rows[mask]]
+    lm_rows = lm_rows[mask]
+    points = map_state.lm_pos[lm_rows]
     measured = frame.measurements[mask]
     n_w = map_state.world_normal
     use_normal = (
@@ -532,7 +535,8 @@ def track_frame(
 
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        Jp = reprojection_pose_jacobian(K, ev.pc).reshape(-1, 6) / config.sigma_px
+        Jp, _ = reprojection_row_jacobians(K, ev.pc)
+        Jp = Jp.reshape(-1, 6) / config.sigma_px
         wJp = np.repeat(ev.w, 3)[:, None] * Jp
         H = Jp.T @ wJp
         g = wJp.T @ ev.r.ravel()
@@ -572,6 +576,8 @@ def track_frame(
         outlier_ids=matched_ids[~inlier_mask],
         matched=int(matched_ids.size),
         cost=ev.cost,
+        inlier_rows=lm_rows[inlier_mask],
+        outlier_rows=lm_rows[~inlier_mask],
     )
 
 
@@ -584,13 +590,12 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
     measurements of the true feature fail the inlier gate frame after frame.
     Genuine landmarks fail that gate independently per frame, so a run of
     ``cull_misses`` consecutive rejections marks a landmark as poisoned.
-    Returns the number of landmarks removed.
+    Reads the landmark rows that tracking resolved, so the map must not
+    change in between. Returns the number of landmarks removed.
     """
     misses = map_state.lm_misses
-    rows = map_state.landmark_rows(track.inlier_ids)
-    misses[rows[rows >= 0]] = 0
-    rows = map_state.landmark_rows(track.outlier_ids)
-    rows = rows[rows >= 0]
+    misses[track.inlier_rows] = 0
+    rows = track.outlier_rows
     misses[rows] += 1
     culled = rows[misses[rows] >= config.cull_misses]
     if culled.size:
@@ -655,7 +660,8 @@ def reject_outliers(map_state: MapState, config: SolverConfig, obs_ids, sq) -> i
     ``sq`` exceed the chi-square threshold (infinite behind the camera);
     landmarks left unobserved are deleted."""
     doomed = np.asarray(obs_ids)[np.asarray(sq) > config.chi2_threshold]
-    map_state.remove_observations(doomed)
+    if doomed.size:
+        map_state.remove_observations(doomed)
     return int(doomed.size)
 
 
@@ -698,8 +704,11 @@ class _BAProblem:
         obs_kf, obs_lm = map_state.obs_kf, map_state.obs_lm
 
         # every live observation of a landmark the window sees, grouped by
-        # landmark with keyframes ascending
-        self.lm_ids = np.unique(obs_lm[np.isin(obs_kf, window)])
+        # landmark with keyframes ascending; the window's rows are read
+        # through a keyframe table at obs_kf + 1, as dead rows hold -1
+        in_window = np.zeros(len(map_state.keyframes) + 1, dtype=bool)
+        in_window[window + 1] = True
+        self.lm_ids = np.unique(obs_lm[in_window[obs_kf + 1]])
         self.obs_ids = map_state.observation_rows(self.lm_ids)
         self.obs_uvu = map_state.obs_uvu[self.obs_ids]
         self.obs_lm = np.searchsorted(self.lm_ids, obs_lm[self.obs_ids])
@@ -707,6 +716,8 @@ class _BAProblem:
         self.free_ids = window[~map_state.kf_fixed[window]]
         self.all_kf_ids = np.union1d(window, obs_kf[self.obs_ids])
         self.obs_pose = np.searchsorted(self.all_kf_ids, obs_kf[self.obs_ids])
+        # row of each observation in the (pose, landmark) grid of evaluate
+        self._pose_lm = self.obs_pose * len(self.lm_ids) + self.obs_lm
         # pose row of each free pose, and free-pose index of each pose row
         # (-1 for poses held fixed)
         self.free_rows = np.searchsorted(self.all_kf_ids, self.free_ids)
@@ -716,13 +727,14 @@ class _BAProblem:
         # rows are grouped by landmark already; cache segment-sum boundaries
         # (indices are >= 0, so prepending -1 starts the first segment)
         self._lm_starts = np.flatnonzero(np.diff(self.obs_lm, prepend=-1))
-        self._lm_segment = self.obs_lm[self._lm_starts]
-        free_rows = np.flatnonzero(self.obs_free >= 0)
-        order = np.argsort(self.obs_free[free_rows], kind="stable")
-        self._free_rows = free_rows[order]
+        # the rows at free poses, by pose (the stable sort puts the -1 first)
+        order = np.argsort(self.obs_free, kind="stable")
+        self._free_rows = order[self.obs_free[order] >= 0]
         sorted_free = self.obs_free[self._free_rows]
-        self._free_starts = np.flatnonzero(np.diff(sorted_free, prepend=-1))
-        self._free_segment = sorted_free[self._free_starts]
+        at = np.flatnonzero(np.diff(sorted_free, prepend=-1)).tolist()
+        # each free pose with rows, and the span of their stacked residuals
+        spans = zip(at, at[1:] + [sorted_free.size])
+        self._free_spans = [(int(sorted_free[a]), 3 * a, 3 * b) for a, b in spans]
 
         # state
         self.R = map_state.kf_R[self.all_kf_ids]
@@ -745,13 +757,19 @@ class _BAProblem:
             )
             self.normal_free = free_of_row[self.normals[0]]
         self.nw_active = self.normals is not None and map_state.normal_active
+        # flat offsets of the free rows' 6x3 blocks in the W of _ba_assemble
+        cols = 3 * (len(self.lm_ids) + self.nw_active)
+        at = cols * 6 * sorted_free + 3 * self.obs_lm[self._free_rows]
+        self._w_at = at[:, None, None] + cols * np.arange(6)[:, None] + np.arange(3)
         self.ev = self.evaluate(self.R, self.t, self.points, self.n_w)
 
     def evaluate(self, R, t, points, n_w) -> _Evaluation:
         """The objective at stacked poses ``(R, t)``, landmark ``points`` and
-        world normal ``n_w``; each observation gathers its own pose."""
-        rows = self.obs_pose
-        pc = np.einsum("nij,nj->ni", R[rows], points[self.obs_lm]) + t[rows]
+        world normal ``n_w``; each pose transforms every landmark in one
+        product, and each observation takes its own pair from the grid."""
+        grid = points @ np.swapaxes(R, 1, 2)
+        grid += t[:, None]
+        pc = grid.reshape(-1, 3).take(self._pose_lm, axis=0)
         normals = None
         if self.normals is not None:
             normal_rows, basis, frame_normals = self.normals
@@ -772,65 +790,63 @@ class _BAProblem:
 
 def _ba_linearize(problem: _BAProblem):
     """Whitened Jacobians at the problem's state, from the camera-frame points
-    of ``problem.ev``; the normal ones (None without normal factors) are
-    weighted like ``problem.ev.rn``."""
+    of ``problem.ev``: pose ones for ``problem._free_rows``, point ones for
+    every row; the normal ones (None without normal factors) are weighted
+    like ``problem.ev.rn``."""
     cfg = problem.config
     inv_sigma = 1.0 / cfg.sigma_px
-    R, t = problem.R, problem.t
-    rows = problem.obs_pose
-    Jp, Jl = reprojection_jacobians(
-        problem.map.intrinsics,
-        (R[rows], t[rows]),
-        problem.points[problem.obs_lm],
-        pc=problem.ev.pc,
+    pc, R = problem.ev.pc, problem.R.take(problem.obs_pose, axis=0)
+    if (pc[:, 2] <= 0.0).any():
+        raise NonPositiveDepth("point behind camera while linearizing")
+    Jp, Jl = reprojection_row_jacobians(
+        problem.map.intrinsics, pc, R, problem._free_rows
     )
     J_phi = J_nw = None
     if problem.normals is not None:
         sqrt_lam = math.sqrt(cfg.loss.normal_weight)
         J_phi, J_nw = normal_jacobian(
-            problem.normals[1], R[problem.normals[0]], problem.n_w
+            problem.normals[1], problem.R[problem.normals[0]], problem.n_w
         )
         J_phi, J_nw = sqrt_lam * J_phi, sqrt_lam * J_nw
-    return Jp * inv_sigma, Jl * inv_sigma, J_phi, J_nw
+    Jp *= inv_sigma
+    Jl *= inv_sigma
+    return Jp, Jl, J_phi, J_nw
 
 
-def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
+def _ba_assemble(problem: _BAProblem, Jp, Jl_all, J_phi, J_nw):
     """Accumulate the Schur-ready normal-equation blocks.
 
-    Per-row block products ``J^T (w J)`` are matmuls over swapped axes,
-    several times faster than a batched einsum at window sizes; products
-    with vectors stay einsums, which are faster there.
+    Every row adds ``(w Jl)^T [Jl | r]`` to its landmark's Hll and gl, and
+    a row at a free pose p its block ``(w Jp)^T Jl`` to W[6p:6p+6, 3l:3l+3];
+    per-row block products are matmuls over swapped axes, several times
+    faster than a batched einsum at window sizes. A free pose's Hpp and gp
+    are products over its rows stacked, with no per-row 6x6 blocks.
     """
     ev = problem.ev
     P = len(problem.free_ids)
     L = len(problem.lm_ids)
-    extra = 1 if problem.nw_active else 0
+    Lb = L + problem.nw_active
     Hpp = np.zeros((P, 6, 6))
     gp = np.zeros((P, 6))
-    Hll = np.zeros((L + extra, 3, 3))
-    gl = np.zeros((L + extra, 3))
-    # W[p, :, l, :] is the 6x3 block of free pose p and landmark l
-    W = np.zeros((P, 6, L + extra, 3))
+    Hll = np.zeros((Lb, 3, 3))
+    gl = np.zeros((Lb, 3))
+    W = np.zeros((6 * P, 3 * Lb))
 
-    wJl = ev.w[:, None, None] * Jl_all
-    Hll[problem._lm_segment] = np.add.reduceat(
-        np.swapaxes(wJl, 1, 2) @ Jl_all, problem._lm_starts, axis=0
-    )
-    gl[problem._lm_segment] = np.add.reduceat(
-        np.einsum("nab,na->nb", wJl, ev.r), problem._lm_starts, axis=0
-    )
+    # every landmark has a row, so the segments cover them all
+    wJlT = np.swapaxes(ev.w[:, None, None] * Jl_all, 1, 2)
+    rows = np.concatenate([Jl_all, ev.r[:, :, None]], axis=2)
+    sums = np.add.reduceat(wJlT @ rows, problem._lm_starts, axis=0)
+    Hll[:L], gl[:L] = sums[:, :, :3], sums[:, :, 3]
 
     free = problem._free_rows
-    if free.size:
-        wJpT = np.swapaxes(ev.w[free, None, None] * Jp_all[free], 1, 2)
-        Hpp[problem._free_segment] = np.add.reduceat(
-            wJpT @ Jp_all[free], problem._free_starts, axis=0
-        )
-        gp[problem._free_segment] = np.add.reduceat(
-            np.einsum("nba,na->nb", wJpT, ev.r[free]), problem._free_starts, axis=0
-        )
-        # each (pose, landmark) pair is observed once, so no block repeats
-        W[problem.obs_free[free], :, problem.obs_lm[free], :] = wJpT @ Jl_all[free]
+    Jl, r, w = (x.take(free, axis=0) for x in (Jl_all, ev.r, ev.w))
+    wJp = w[:, None, None] * Jp
+    # each (pose, landmark) pair is observed once, so no block repeats
+    W.reshape(-1)[problem._w_at] = np.swapaxes(wJp, 1, 2) @ Jl
+    A, Jp2, r2 = wJp.reshape(-1, 6), Jp.reshape(-1, 6), r.reshape(-1)
+    for p, lo, hi in problem._free_spans:
+        Hpp[p] = A[lo:hi].T @ Jp2[lo:hi]
+        gp[p] = A[lo:hi].T @ r2[lo:hi]
 
     if J_phi is not None:
         # one normal row per keyframe, so the free-pose indices are distinct
@@ -843,27 +859,42 @@ def _ba_assemble(problem: _BAProblem, Jp_all, Jl_all, J_phi, J_nw):
             wJ_nw = ev.wn[:, None, None] * J_nw
             Hll[L] += np.einsum("nab,nac->bc", wJ_nw, J_nw)
             gl[L] += np.einsum("nab,na->b", wJ_nw, ev.rn)
-            W[p[on], 3:, L, :] += wJ_phiT[on] @ J_nw[on]
+            W.reshape(P, 6, Lb, 3)[p[on], 3:, L, :] += wJ_phiT[on] @ J_nw[on]
             # the residual is scale-free in n_w, so its radial direction has
             # exactly zero curvature and gradient; pin it so the block inverts
             n_hat = problem.n_w / np.linalg.norm(problem.n_w)
             Hll[L] += np.trace(Hll[L]) * np.outer(n_hat, n_hat)
-    return Hpp, gp, Hll, gl, W.reshape(6 * P, 3 * (L + extra))
+    return Hpp, gp, Hll, gl, W
+
+
+def _inverse_3x3(A):
+    """Inverses of the 3x3 blocks ``A`` (n, 3, 3), as adjugate over
+    determinant; raises LinAlgError when a determinant is zero or not
+    finite."""
+    a, b, c, d, e, f, g, h, i = A.reshape(-1, 9).T
+    adj = np.array([e * i - f * h, c * h - b * i, b * f - c * e,
+                    f * g - d * i, a * i - c * g, c * d - a * f,
+                    d * h - e * g, b * g - a * h, a * e - b * d])
+    det = a * adj[0] + b * adj[3] + c * adj[6]
+    if not (np.isfinite(det).all() and det.all()):
+        raise np.linalg.LinAlgError("singular landmark block")
+    return (adj / det).T.reshape(-1, 3, 3)
 
 
 def _ba_solve(Hpp, gp, Hll, gl, W, lam):
-    """Damped Schur-complement solve; returns (pose steps, landmark steps)."""
+    """Damped Schur-complement solve; returns (pose steps, landmark steps).
+    The damped landmark blocks are inverted by :func:`_inverse_3x3`; the
+    reduced pose system is formed densely, one (6P, 3L) x (3L, 6P) product."""
     P = Hpp.shape[0]
     Hpp_d = Hpp + lam * (np.eye(6) * Hpp.diagonal(axis1=1, axis2=2)[:, :, None])
     Hll_d = Hll + lam * (np.eye(3) * Hll.diagonal(axis1=1, axis2=2)[:, :, None])
-    Hll_inv = np.linalg.inv(Hll_d)
-    if P == 0:
-        dl = -np.einsum("lab,lb->la", Hll_inv, gl)
-        return np.zeros((0, 6)), dl
+    Hll_inv = _inverse_3x3(Hll_d)
     Lb = Hll.shape[0]
-    # W Hll^-1, block column by block column: (Lb, 6P, 3) @ (Lb, 3, 3)
-    W3 = W.reshape(6 * P, Lb, 3).swapaxes(0, 1)
-    WHinv = (W3 @ Hll_inv).swapaxes(0, 1).reshape(6 * P, 3 * Lb)
+    # W Hll^-1, block column by block column, (Lb, 6P, 3) @ (Lb, 3, 3),
+    # written straight into W's layout
+    WHinv = np.empty((6 * P, Lb, 3))
+    np.matmul(W.reshape(6 * P, Lb, 3).swapaxes(0, 1), Hll_inv, out=WHinv.swapaxes(0, 1))
+    WHinv = WHinv.reshape(6 * P, 3 * Lb)
     Hred = -WHinv @ W.T
     diag = np.arange(P)
     Hred.reshape(P, 6, P, 6)[diag, :, diag, :] += Hpp_d

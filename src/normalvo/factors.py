@@ -84,27 +84,34 @@ def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:
     return np.array([[u, v, w], [p / norm, q / norm, r / norm]])
 
 
-def reprojection_pose_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
-    """Jacobian (N, 3, 6) of the reprojection residual with respect to the
-    pose twist, at camera-frame points ``pc`` (N, 3) in front of the camera.
+def reprojection_row_jacobians(K: Intrinsics, pc: np.ndarray, R=None, rows=None):
+    """Jacobians (J_pose, J_point) of the reprojection residuals at
+    camera-frame points ``pc`` (N, 3) in front of the camera.
 
     Under the left-multiplicative update the camera-frame point moves as
-    p_c + rho + phi x p_c, so J = Jpi @ [I | -skew(p_c)] with
-    Jpi = d pi / d p_c. Its entries are written out here in the normalized
-    coordinates u = x/z, v = y/z of the left camera and u_r = (x - b)/z of
-    the right one; the first three columns are Jpi itself.
+    p_c + rho + phi x p_c, and a point step dX moves it by R dX, so
+    J_pose = Jpi [I | -skew(p_c)] (columns rho, phi) and J_point = Jpi R,
+    with Jpi = d pi / d p_c built once, in the normalized coordinates
+    u = x/z, v = y/z and u_r = (x - b)/z. J_pose (F, 3, 6) holds the rows
+    ``rows`` (an index array; every row when None); J_point (N, 3, 3) holds
+    every row against ``R``, (N, 3, 3) or (3, 3), and is None without it.
     """
     x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
     inv_z = 1.0 / z
     u, v, u_r = x * inv_z, y * inv_z, (x - K.b) * inv_z
     fx_z, fy_z = K.fx * inv_z, K.fy * inv_z
-    fx_v = K.fx * v
-    J = np.zeros((pc.shape[0], 3, 6))
+    J = np.zeros((pc.shape[0], 3, 6 if rows is None else 3))
     J[:, 0, 0] = J[:, 2, 0] = fx_z
     J[:, 1, 1] = fy_z
     J[:, 0, 2] = -fx_z * u
     J[:, 1, 2] = -fy_z * v
     J[:, 2, 2] = -fx_z * u_r
+    J_point = None if R is None else J[:, :, :3] @ R
+    if rows is not None:  # Jpi of every row, J_pose of the rows asked for
+        Jpi, u, v, u_r = (a.take(rows, axis=0) for a in (J, u, v, u_r))
+        J = np.empty((u.size, 3, 6))
+        J[:, :, :3] = Jpi
+    fx_v = K.fx * v
     J[:, 0, 3] = -fx_v * u
     J[:, 1, 3] = -K.fy * (1.0 + v * v)
     J[:, 2, 3] = -fx_v * u_r
@@ -113,7 +120,7 @@ def reprojection_pose_jacobian(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     J[:, 2, 4] = K.fx * (1.0 + u_r * u)
     J[:, 0, 5] = J[:, 2, 5] = -fx_v
     J[:, 1, 5] = K.fy * u
-    return J
+    return J, J_point
 
 
 def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
@@ -123,20 +130,17 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     (N,3,6) and (N,3,3) for a batch. ``pose`` is a PoseSE3 or an ``(R, t)``
     pair whose arrays may hold one pose per point, (N,3,3) and (N,3); ``pc``
     passes the camera-frame points when the caller has them already.
-    J_pose is :func:`reprojection_pose_jacobian`, columns in the twist
-    order (rho, phi); J_point = Jpi @ R, with Jpi its first three columns.
+    Both come from :func:`reprojection_row_jacobians` for every row.
     """
     point = np.asarray(point, dtype=float)
-    single = point.ndim == 1
     R, t = (pose.R, pose.t) if isinstance(pose, PoseSE3) else pose
     if pc is None:
         pc = np.einsum("...ij,...j->...i", R, np.atleast_2d(point)) + t
     pc = np.atleast_2d(pc)
     if np.any(pc[:, 2] <= 0.0):
         raise NonPositiveDepth("point behind camera while linearizing")
-    J_pose = reprojection_pose_jacobian(K, pc)
-    J_point = J_pose[:, :, :3] @ R
-    if single:
+    J_pose, J_point = reprojection_row_jacobians(K, pc, R)
+    if point.ndim == 1:
         return J_pose[0], J_point[0]
     return J_pose, J_point
 

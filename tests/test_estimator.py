@@ -819,6 +819,8 @@ def test_cull_retires_persistently_rejected_landmarks():
         outlier_ids=np.array([2]),
         matched=3,
         cost=0.0,
+        inlier_rows=ms.landmark_rows([0, 1]),
+        outlier_rows=ms.landmark_rows([2]),
     )
     assert cull_landmarks(ms, reject, config) == 0
     assert cull_landmarks(ms, reject, config) == 0
@@ -832,6 +834,8 @@ def test_cull_retires_persistently_rejected_landmarks():
         outlier_ids=np.array([], dtype=int),
         matched=3,
         cost=0.0,
+        inlier_rows=ms.landmark_rows([2]),
+        outlier_rows=np.array([], dtype=int),
     )
     cull_landmarks(ms, pardon, config)
     assert ms.lm_misses[landmark_row(ms, 2)] == 0
@@ -1179,6 +1183,91 @@ def test_ba_stops_on_the_dense_model_decrease(monkeypatch):
         np.testing.assert_array_equal(h, np.concatenate([dp.ravel(), dl.ravel()]))
         # the identity holds to the accuracy of the Schur solve, not exactly
         assert value == pytest.approx(-2.0 * g @ h - h @ H @ h, rel=1e-8)
+
+
+def reference_ba_blocks(problem):
+    """The Schur blocks (Hpp, gp, Hll, gl, W) of ``problem``'s state built
+    one observation and one normal row at a time, with each row's residual,
+    Huber weight and Jacobians taken from ``factors``."""
+    config, ms = problem.config, problem.map
+    sqrt_lam = math.sqrt(config.loss.normal_weight)
+    P, L = len(problem.free_ids), len(problem.lm_ids)
+    Lb = L + problem.nw_active
+    Hpp, gp = np.zeros((P, 6, 6)), np.zeros((P, 6))
+    Hll, gl = np.zeros((Lb, 3, 3)), np.zeros((Lb, 3))
+    W = np.zeros((6 * P, 3 * Lb))
+    free_of = {int(k): f for f, k in enumerate(problem.free_ids)}
+    lm_of = {int(lm_id): i for i, lm_id in enumerate(problem.lm_ids)}
+    for obs in problem.obs_ids:
+        kf, lm = int(ms.obs_kf[obs]), lm_of[int(ms.obs_lm[obs])]
+        row = int(np.searchsorted(problem.all_kf_ids, kf))
+        R, t, X = problem.R[row], problem.t[row], problem.points[lm]
+        r = (project(K, R @ X + t) - ms.obs_uvu[obs]) / config.sigma_px
+        _, w = huber(np.linalg.norm(r), config.loss.huber_delta_repro)
+        Jp, Jl = reprojection_jacobians(K, (R, t), X)
+        Jp, Jl = Jp / config.sigma_px, Jl / config.sigma_px
+        Hll[lm] += w * Jl.T @ Jl
+        gl[lm] += w * Jl.T @ r
+        if kf in free_of:
+            f = free_of[kf]
+            Hpp[f] += w * Jp.T @ Jp
+            gp[f] += w * Jp.T @ r
+            W[6 * f : 6 * f + 6, 3 * lm : 3 * lm + 3] += w * Jp.T @ Jl
+    for kf in problem.window_ids:
+        if np.isnan(ms.kf_normal[kf, 0]):
+            continue
+        R = problem.R[int(np.searchsorted(problem.all_kf_ids, kf))]
+        basis, n_k = ms.kf_basis[kf], ms.kf_normal[kf]
+        rn = sqrt_lam * normal_residual(basis, R, problem.n_w, n_k)
+        _, wn = huber(np.linalg.norm(rn), config.loss.huber_delta_normal)
+        J_phi, J_nw = normal_jacobian(basis, R, problem.n_w)
+        J_phi, J_nw = sqrt_lam * J_phi, sqrt_lam * J_nw
+        if kf in free_of:
+            f = free_of[kf]
+            Hpp[f, 3:, 3:] += wn * J_phi.T @ J_phi
+            gp[f, 3:] += wn * J_phi.T @ rn
+            if problem.nw_active:
+                W[6 * f + 3 : 6 * f + 6, 3 * L :] += wn * J_phi.T @ J_nw
+        if problem.nw_active:
+            Hll[L] += wn * J_nw.T @ J_nw
+            gl[L] += wn * J_nw.T @ rn
+    if problem.nw_active:
+        n_hat = unit(problem.n_w)
+        Hll[L] += np.trace(Hll[L]) * np.outer(n_hat, n_hat)
+    return Hpp, gp, Hll, gl, W
+
+
+@pytest.mark.parametrize("window", [[0, 1, 2], [1, 2], [2]])
+def test_ba_assembly_matches_a_per_observation_loop(window):
+    # rows at the gauge pose, at a pose outside the window and at free
+    # poses, with the world normal among the variables
+    config = SolverConfig()
+    ms = ba_test_map(config)
+    ms.kf_normal[2], ms.kf_basis[2] = ms.kf_normal[1], ms.kf_basis[1]
+    problem = _BAProblem(ms, window, config)
+    assert problem.nw_active
+    assert np.any(problem.obs_free < 0) and np.any(problem.obs_free >= 0)
+
+    blocks = _ba_assemble(problem, *_ba_linearize(problem))
+
+    for got, expected in zip(blocks, reference_ba_blocks(problem)):
+        assert got.shape == expected.shape
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("poses", [2, 0])
+def test_ba_solve_raises_on_a_singular_landmark_block(poses):
+    # an exactly zero landmark block stays zero under damping: the solve
+    # fails as a singular one, without a division warning on the way
+    config = SolverConfig()
+    problem = _BAProblem(ba_test_map(config), [0, 1, 2], config)
+    Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
+    Hll[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _ba_solve(Hpp[:poses], gp[:poses], Hll, gl, W[: 6 * poses], 0.5)
 
 
 def test_ba_at_the_damping_ceiling_raises_solver_diverged(monkeypatch):
