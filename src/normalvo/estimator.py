@@ -27,6 +27,7 @@ from .factors import (
     huber,
     make_tangent_basis,
     normal_jacobian,
+    normal_pose_jacobian,
     normal_residual,
     reprojection_row_jacobians,
 )
@@ -35,8 +36,9 @@ from .geometry import (
     NonPositiveDepth,
     PoseSE3,
     check_finite,
-    project,
+    normalized_coordinates,
     triangulate,
+    update_pose,
     update_poses,
 )
 
@@ -320,9 +322,10 @@ class MapState:
             obs_ids = self.observation_rows(self.landmarks[rows])
             self.obs_kf[obs_ids] = -1
             self._dead += obs_ids.size
-            self.landmarks = np.delete(self.landmarks, rows)
-            self.lm_pos = np.delete(self.lm_pos, rows, axis=0)
-            self.lm_misses = np.delete(self.lm_misses, rows)
+            keep = np.bincount(rows, minlength=self.landmarks.size) == 0
+            self.landmarks = self.landmarks[keep]
+            self.lm_pos = self.lm_pos[keep]
+            self.lm_misses = self.lm_misses[keep]
         if 2 * self._dead > self.obs_kf.size:
             live = self.obs_kf >= 0
             self.obs_kf = self.obs_kf[live]
@@ -379,13 +382,17 @@ class _Evaluation:
     """The robust objective at one state, with the per-row terms it sums."""
 
     pc: np.ndarray  # (M, 3) camera-frame points
+    inv_z: np.ndarray  # (M,) 1/z; a row behind the camera holds a stand-in's
+    nc: np.ndarray  # (M, 3) normalized coordinates (x/z, y/z, (x - b)/z)
     r: np.ndarray  # (M, 3) whitened reprojection residuals, inf behind camera
     sq: np.ndarray  # (M,) whitened squared norms, inf behind the camera
     w: np.ndarray  # (M,) IRLS weights of the reprojection rows
     rn: np.ndarray | tuple  # (N, 2) weighted normal residuals; tracking's as a pair
     wn: np.ndarray | float  # (N,) IRLS weights of the normal rows; tracking's one
     cost: float  # Huber total, inf when any point is behind its camera
-    J_phi: np.ndarray | None = None  # rotation Jacobian (2, 3) of tracking's row
+    J_phi: list | None = None  # tracking's row: rotation Jacobian (2, 3),
+    Hn: list | None = None  # wn J_phi^T J_phi (3, 3) and
+    gn: list | None = None  # wn J_phi^T rn (3,), as float rows
 
 
 def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
@@ -397,20 +404,21 @@ def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
     normals) of the keyframes that measured one, adds their weighted
     tangent-plane factors against the world normal ``n_w``. A tracked frame
     passes its one rotation unbatched, with its basis and normal as float
-    triples and a unit ``n_w``, and gets its row's rotation Jacobian too.
+    triples and a unit ``n_w``, and gets its row's Jacobian and normal terms too.
     """
     front = pc[:, 2] > 0.0
     behind = not front.all()
-    # rows behind the camera project a stand-in point, then read inf
+    # rows behind the camera stand in at (1, 1, 1), then read inf
     shown = np.where(front[:, None], pc, 1.0) if behind else pc
-    r = (project(K, shown) - measured) / config.sigma_px
+    inv_z, nc = normalized_coordinates(K, shown)
+    r = (nc * K.scale + K.offset - measured) / config.sigma_px
     if behind:
         r[~front] = np.inf
     sq = np.einsum("ij,ij->i", r, r)
     rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
     cost = float(rho.sum())
     if normals is None:
-        return _Evaluation(pc, r, sq, w, np.zeros((0, 2)), np.zeros(0), cost)
+        return _Evaluation(pc, inv_z, nc, r, sq, w, np.zeros((0, 2)), np.zeros(0), cost)
     rotations, basis, frame_normals = normals
     s, delta_n = math.sqrt(config.loss.normal_weight), config.loss.huber_delta_normal
     if rotations.ndim == 2:  # one row in 3-vector floats, at m = R n_hat
@@ -419,11 +427,14 @@ def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
         rn = tuple(s * (a * d[0] + b * d[1] + c * d[2]) for a, b, c in basis)
         rho_n, wn = huber(math.hypot(*rn), delta_n)
         # -sqrt(w) B skew(m), whose row i is sqrt(w) m x b_i
-        J = [(my * c - mz * b, mz * a - mx * c, mx * b - my * a) for a, b, c in basis]
-        return _Evaluation(pc, r, sq, w, rn, wn, cost + rho_n, s * np.array(J))
+        J = [(s * (my * c - mz * b), s * (mz * a - mx * c), s * (mx * b - my * a))
+             for a, b, c in basis]
+        Hn = [[wn * (a * x + b * y) for x, y in zip(*J)] for a, b in zip(*J)]
+        gn = [wn * (a * rn[0] + b * rn[1]) for a, b in zip(*J)]
+        return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, cost + rho_n, J, Hn, gn)
     rn = s * normal_residual(basis, rotations, n_w, frame_normals)
     rho_n, wn = huber(np.sqrt(np.einsum("ij,ij->i", rn, rn)), delta_n)
-    return _Evaluation(pc, r, sq, w, rn, wn, cost + float(rho_n.sum()))
+    return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, cost + float(rho_n.sum()))
 
 
 def _predicted_decrease(g, d, h, lam) -> float:
@@ -457,11 +468,11 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
             h = solve(lam)
         except np.linalg.LinAlgError:
             h = None
-        if h is None or not np.all(np.isfinite(h)):
+        if h is None or not np.isfinite(h).all():
             lam *= config.damping_increase
             continue
         if (
-            np.linalg.norm(h) < config.step_tolerance
+            math.sqrt(h @ h) < config.step_tolerance
             or _predicted_decrease(g, d, h, lam) < config.cost_tolerance * cost
         ):
             return lam, None, True
@@ -530,19 +541,19 @@ def track_frame(
         return np.linalg.solve(H + np.diag(lam * d), -g)
 
     def trial(h):
-        new_R, new_t = update_poses(h[None], R[None], t[None])
-        return new_R[0], new_t[0], evaluate(new_R[0], new_t[0])
+        new_R, new_t = update_pose(h, R, t)
+        return new_R, new_t, evaluate(new_R, new_t)
 
+    scale = K.scale / config.sigma_px  # joins the weights of the normalized Jacobian
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        Jp, _ = reprojection_row_jacobians(K, ev.pc)
-        Jp = Jp.reshape(-1, 6) / config.sigma_px
-        wJp = np.repeat(ev.w, 3)[:, None] * Jp
-        H = Jp.T @ wJp
-        g = wJp.T @ ev.r.ravel()
+        J = reprojection_row_jacobians(ev.inv_z, ev.nc)[0].reshape(-1, 6)
+        ws = ev.w[:, None] * scale
+        H = J.T @ (J * (ws * scale).reshape(-1, 1))
+        g = J.T @ (ws * ev.r).ravel()
         if use_normal:
-            H[3:, 3:] += ev.wn * ev.J_phi.T @ ev.J_phi
-            g[3:] += ev.wn * ev.J_phi.T @ ev.rn
+            H[3:, 3:] += ev.Hn
+            g[3:] += ev.gn
         d = H.diagonal()
         lam, state, converged = _damped_step(config, lam, ev.cost, g, d, solve, trial)
         if state is not None:
@@ -638,7 +649,8 @@ def insert_keyframe(
     new = ~mapped & (meas[:, 0] - meas[:, 2] > config.min_disparity)
     world = triangulate(K, meas[new], d_min=config.min_disparity) @ R + -R.T @ t
     map_state.add_landmarks(ids[new], world)
-    keep = new | (mapped & np.isin(ids, matched_ids))
+    m = np.sort(matched_ids)  # matched: the right insertion point passes the left
+    keep = new | (mapped & (np.searchsorted(m, ids, "right") > np.searchsorted(m, ids)))
     map_state.add_observations(kf_id, ids[keep], meas[keep])
     map_state.reference_inliers = int(np.count_nonzero(keep))
 
@@ -789,27 +801,25 @@ class _BAProblem:
 
 
 def _ba_linearize(problem: _BAProblem):
-    """Whitened Jacobians at the problem's state, from the camera-frame points
-    of ``problem.ev``: pose ones for ``problem._free_rows``, point ones for
+    """Whitened Jacobians at the problem's state, from the normalized
+    coordinates of ``problem.ev``: pose ones for ``problem._free_rows``, point ones for
     every row; the normal ones (None without normal factors) are weighted
     like ``problem.ev.rn``."""
-    cfg = problem.config
-    inv_sigma = 1.0 / cfg.sigma_px
-    pc, R = problem.ev.pc, problem.R.take(problem.obs_pose, axis=0)
-    if (pc[:, 2] <= 0.0).any():
+    cfg, ev = problem.config, problem.ev
+    if (ev.pc[:, 2] <= 0.0).any():
         raise NonPositiveDepth("point behind camera while linearizing")
-    Jp, Jl = reprojection_row_jacobians(
-        problem.map.intrinsics, pc, R, problem._free_rows
-    )
+    R = problem.R.take(problem.obs_pose, axis=0)
+    Jp, Jl = reprojection_row_jacobians(ev.inv_z, ev.nc, R, problem._free_rows)
     J_phi = J_nw = None
     if problem.normals is not None:
         sqrt_lam = math.sqrt(cfg.loss.normal_weight)
-        J_phi, J_nw = normal_jacobian(
-            problem.normals[1], problem.R[problem.normals[0]], problem.n_w
-        )
-        J_phi, J_nw = sqrt_lam * J_phi, sqrt_lam * J_nw
-    Jp *= inv_sigma
-    Jl *= inv_sigma
+        args = problem.normals[1], problem.R[problem.normals[0]], problem.n_w
+        J_phi = sqrt_lam * normal_pose_jacobian(*args)
+        if problem.nw_active:  # J_nw is read only while the world normal is free
+            J_nw = sqrt_lam * normal_jacobian(*args)[1]
+    scale = problem.map.intrinsics.scale[:, None] / cfg.sigma_px
+    Jp *= scale
+    Jl *= scale
     return Jp, Jl, J_phi, J_nw
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Intrinsics, NonPositiveDepth, PoseSE3, check_finite, skew
+from .geometry import normalized_coordinates
 
 _I3 = np.eye(3)
 
@@ -50,11 +51,10 @@ def huber(r, delta: float):
     weight = rho'(r) / (2 r), which is 1 in the quadratic branch (and at r=0)
              and delta/|r| in the linear branch.
     """
-    if np.ndim(r) == 0:  # one norm, in Python floats
+    if not (isinstance(r, np.ndarray) and r.ndim):  # one norm, in Python floats
         a = abs(float(r))
         cost = a * a if a <= delta else 2.0 * delta * a - delta * delta
         return cost, delta / max(a, delta)
-    r = np.asarray(r, dtype=float)
     a = np.abs(r)
     cost = np.where(a <= delta, r * r, 2.0 * delta * a - delta * delta)
     return cost, delta / np.maximum(a, delta)
@@ -84,43 +84,40 @@ def make_tangent_basis(frame_normal: np.ndarray) -> np.ndarray:
     return np.array([[u, v, w], [p / norm, q / norm, r / norm]])
 
 
-def reprojection_row_jacobians(K: Intrinsics, pc: np.ndarray, R=None, rows=None):
-    """Jacobians (J_pose, J_point) of the reprojection residuals at
-    camera-frame points ``pc`` (N, 3) in front of the camera.
+# Pose Jacobian of normalized coordinates (u, v, u_r), q = 1/z, columns rho, phi:
+#   u    q  0  -q u    -v u        1 + u u    -v
+#   v    0  q  -q v    -1 - v v    u v         u
+#   u_r  q  0  -q u_r  -v u_r      1 + u_r u  -v
+# Entry e is _J_SIGN[e] a_i b_j + _J_ONE[e] at _J_AT[e] = 4 i + j, for
+# a = (q, 1, u, v) and b = (1, u, v, u_r).
+_J_AT = np.array([0, 0, 1, 13, 9, 12, 0, 0, 2, 14, 10, 5, 0, 0, 3, 15, 11, 12])
+_J_SIGN = np.array([1, 0, -1, -1, 1, -1, 0, 1, -1, -1, 1, 1, 1, 0, -1, -1, 1, -1.0])
+_J_ONE = np.array([0, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0.0])
+
+
+def reprojection_row_jacobians(inv_z, nc, R=None, rows=None):
+    """Jacobians (J_pose, J_point) of the reprojection residuals, at points in
+    front of the camera given by :func:`~normalvo.geometry.normalized_coordinates`,
+    in normalized units: times ``K.scale[k]``, row k of a block is in pixels.
 
     Under the left-multiplicative update the camera-frame point moves as
     p_c + rho + phi x p_c, and a point step dX moves it by R dX, so
     J_pose = Jpi [I | -skew(p_c)] (columns rho, phi) and J_point = Jpi R,
-    with Jpi = d pi / d p_c built once, in the normalized coordinates
-    u = x/z, v = y/z and u_r = (x - b)/z. J_pose (F, 3, 6) holds the rows
-    ``rows`` (an index array; every row when None); J_point (N, 3, 3) holds
-    every row against ``R``, (N, 3, 3) or (3, 3), and is None without it.
+    with Jpi = d pi / d p_c, whose row k is (R_k' - nc_k R_2) / z against
+    R's rows k' = (0, 1, 0). J_pose (F, 3, 6) holds the rows ``rows`` (an
+    index array; every row when None); J_point (N, 3, 3) holds every row
+    against ``R``, (N, 3, 3) or (3, 3), and is None without it.
     """
-    x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
-    inv_z = 1.0 / z
-    u, v, u_r = x * inv_z, y * inv_z, (x - K.b) * inv_z
-    fx_z, fy_z = K.fx * inv_z, K.fy * inv_z
-    J = np.zeros((pc.shape[0], 3, 6 if rows is None else 3))
-    J[:, 0, 0] = J[:, 2, 0] = fx_z
-    J[:, 1, 1] = fy_z
-    J[:, 0, 2] = -fx_z * u
-    J[:, 1, 2] = -fy_z * v
-    J[:, 2, 2] = -fx_z * u_r
-    J_point = None if R is None else J[:, :, :3] @ R
-    if rows is not None:  # Jpi of every row, J_pose of the rows asked for
-        Jpi, u, v, u_r = (a.take(rows, axis=0) for a in (J, u, v, u_r))
-        J = np.empty((u.size, 3, 6))
-        J[:, :, :3] = Jpi
-    fx_v = K.fx * v
-    J[:, 0, 3] = -fx_v * u
-    J[:, 1, 3] = -K.fy * (1.0 + v * v)
-    J[:, 2, 3] = -fx_v * u_r
-    J[:, 0, 4] = K.fx * (1.0 + u * u)
-    J[:, 1, 4] = K.fy * (u * v)
-    J[:, 2, 4] = K.fx * (1.0 + u_r * u)
-    J[:, 0, 5] = J[:, 2, 5] = -fx_v
-    J[:, 1, 5] = K.fy * u
-    return J, J_point
+    J_point = None if R is None else inv_z[:, None, None] * (
+        R.take((0, 1, 0), axis=-2) - nc[:, :, None] * R[..., 2:, :])
+    if rows is not None:
+        inv_z, nc = inv_z.take(rows), nc.take(rows, axis=0)
+    a = np.empty((5, inv_z.size))
+    a[0], a[1], a[2:] = inv_z, 1.0, nc.T
+    J = (a[:4, None] * a[None, 1:]).reshape(16, -1).T[:, _J_AT]
+    J *= _J_SIGN
+    J += _J_ONE
+    return J.reshape(-1, 3, 6), J_point
 
 
 def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
@@ -130,7 +127,7 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     (N,3,6) and (N,3,3) for a batch. ``pose`` is a PoseSE3 or an ``(R, t)``
     pair whose arrays may hold one pose per point, (N,3,3) and (N,3); ``pc``
     passes the camera-frame points when the caller has them already.
-    Both come from :func:`reprojection_row_jacobians` for every row.
+    Both are :func:`reprojection_row_jacobians`'s for every row, in pixels.
     """
     point = np.asarray(point, dtype=float)
     R, t = (pose.R, pose.t) if isinstance(pose, PoseSE3) else pose
@@ -139,7 +136,8 @@ def reprojection_jacobians(K: Intrinsics, pose, point: np.ndarray, pc=None):
     pc = np.atleast_2d(pc)
     if np.any(pc[:, 2] <= 0.0):
         raise NonPositiveDepth("point behind camera while linearizing")
-    J_pose, J_point = reprojection_row_jacobians(K, pc, R)
+    Js = reprojection_row_jacobians(*normalized_coordinates(K, pc), R)
+    J_pose, J_point = (J * K.scale[:, None] for J in Js)
     if point.ndim == 1:
         return J_pose[0], J_point[0]
     return J_pose, J_point

@@ -78,6 +78,12 @@ class Intrinsics:
         for name in ("fx", "fy", "b"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"Intrinsics.{name} must be positive")
+        # the per-column constants of a (uL, v, uR) triplet, as read-only arrays
+        for name, triple in (("scale", (self.fx, self.fy, self.fx)),
+                             ("offset", (self.cx, self.cy, self.cx)),
+                             ("shift", (0.0, 0.0, self.b))):
+            object.__setattr__(self, name, np.array(triple))
+            getattr(self, name).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ def update_poses(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape[0] == 1:
-        R, t = _update_pose(xi[0], R[0], t[0])
+        R, t = update_pose(xi[0], R[0], t[0])
         return R[None], t[None]
     step_R, step_t = _se3_exp_rows(xi)
     R = step_R @ R
@@ -265,9 +271,9 @@ def update_poses(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
     return 1.5 * R - 0.5 * (R @ (np.swapaxes(R, 1, 2) @ R)), t
 
 
-def _update_pose(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
-    """The one-pose case of :func:`update_poses`: twist (6,), rotation (3, 3),
-    translation (3,), with exp and V built from their coefficients."""
+def update_pose(xi: np.ndarray, R: np.ndarray, t: np.ndarray):
+    """One pose's :func:`update_poses`, with the same bits and no one-row stack:
+    twist (6,), rotation (3, 3), translation (3,)."""
     phi = xi[3:]
     # the batched path's einsum, so that a row sums its squares alike
     a, b, b_v, c = _exp_coefficients(float(np.einsum("i,i", phi, phi)))
@@ -296,11 +302,17 @@ def project(K: Intrinsics, pc: np.ndarray) -> np.ndarray:
     z = pc[..., 2:]
     if (z <= 0.0).any():
         raise NonPositiveDepth(f"depth must be positive, got min Z = {z.min()!r}")
-    uvu = pc.take((0, 1, 0), axis=-1) - (0.0, 0.0, K.b)  # then scaled in place
-    uvu *= (K.fx, K.fy, K.fx)
+    uvu = pc.take((0, 1, 0), axis=-1) - K.shift  # then scaled in place
+    uvu *= K.scale
     uvu /= z
-    uvu += (K.cx, K.cy, K.cx)
+    uvu += K.offset
     return uvu
+
+
+def normalized_coordinates(K: Intrinsics, pc: np.ndarray):
+    """``1/z`` (N,) and ``(x/z, y/z, (x - b)/z)`` (N, 3) of points ``pc`` (N, 3)."""
+    inv_z = 1.0 / pc[:, 2]
+    return inv_z, (pc.take((0, 1, 0), axis=1) - K.shift) * inv_z[:, None]
 
 
 def triangulate(

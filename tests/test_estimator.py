@@ -637,6 +637,94 @@ def test_track_reads_the_world_normal_as_a_direction():
     assert results[1].cost == pytest.approx(results[0].cost, rel=1e-12)
 
 
+def test_evaluate_residuals_match_project_and_read_inf_behind_the_camera():
+    # the evaluator builds its residuals from normalized coordinates; they
+    # are project's to rounding, and a row on or behind the camera's plane
+    # reads inf without a warning
+    config = SolverConfig()
+    rng = np.random.default_rng(61)
+    pc = np.column_stack(
+        [rng.uniform(-9.0, 9.0, 60), rng.uniform(-6.0, 6.0, 60), rng.uniform(0.3, 40.0, 60)]
+    )
+    pc[[5, 17, 40], 2] = (0.0, -0.2, -30.0)
+    measured = rng.uniform(-200.0, 900.0, (60, 3))
+    front = pc[:, 2] > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = estimator._evaluate(K, config, pc, measured)
+        whole = estimator._evaluate(K, config, pc[front], measured[front])
+    expected = (project(K, pc[front]) - measured[front]) / config.sigma_px
+    for got in (ev.r[front], whole.r):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+    assert np.all(np.isinf(ev.r[~front])) and np.all(np.isinf(ev.sq[~front]))
+    assert np.all(ev.w[~front] == 0.0) and ev.cost == np.inf
+    assert np.isfinite(whole.cost)
+    # the coordinates the linearization reads
+    np.testing.assert_array_equal(ev.inv_z[front], 1.0 / pc[front, 2])
+    pixels = ev.nc[front] * K.scale + K.offset
+    np.testing.assert_allclose(pixels, project(K, pc[front]), rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("normal_in_tracking", [True, False])
+def test_tracking_normal_equations_match_the_dense_product(
+    monkeypatch, normal_in_tracking
+):
+    # at every linearization of a noisy run, tracking's H and g, with the
+    # pixel scale folded into the weights and the normal row pre-accumulated,
+    # are J^T W J and J^T W r of the dense whitened pixel Jacobian
+    seq = generate_sequence(small_scene(outlier_rate=0.2, trajectory_length=1.5))
+    config = SolverConfig(normal_in_tracking=normal_in_tracking)
+    K_run = seq.intrinsics
+    evaluations = []
+    original_evaluate = estimator._evaluate
+    original_step = estimator._damped_step
+    original_solve = np.linalg.solve
+    checked = []
+
+    def recording_evaluate(*args, **kwargs):
+        evaluations.append(original_evaluate(*args, **kwargs))
+        return evaluations[-1]
+
+    def checking_step(config, lam, cost, g, d, solve, trial):
+        if np.ndim(g) == 1 and g.size == 6:  # a tracking step, not BA's
+            systems = []
+
+            def capture(a, b):
+                systems.append(np.array(a))
+                return original_solve(a, b)
+
+            monkeypatch.setattr(np.linalg, "solve", capture)
+            solve(0.0)  # the undamped system is H itself
+            monkeypatch.setattr(np.linalg, "solve", original_solve)
+            H = systems[0]
+            ev = next(e for e in reversed(evaluations) if e.cost == cost)
+            Jp, _ = reprojection_jacobians(K_run, (np.eye(3), np.zeros(3)), ev.pc, pc=ev.pc)
+            J = Jp.reshape(-1, 6) / config.sigma_px
+            W = np.repeat(ev.w, 3)[:, None]
+            r = ev.r.reshape(-1, 1)
+            if ev.J_phi is not None:  # the normal row, on the rotation columns
+                Jn = np.zeros((2, 6))
+                Jn[:, 3:] = ev.J_phi
+                J = np.vstack([J, Jn])
+                W = np.vstack([W, [[ev.wn], [ev.wn]]])
+                r = np.vstack([r, np.reshape(ev.rn, (2, 1))])
+            H_ref, g_ref = J.T @ (W * J), (J.T @ (W * r))[:, 0]
+            # relative to the size of the summed terms, which can cancel
+            H_tol = 1e-12 * (np.abs(J).T @ (W * np.abs(J)))
+            g_tol = 1e-12 * (np.abs(J).T @ (W * np.abs(r)))[:, 0]
+            assert np.all(np.abs(H - H_ref) <= H_tol)
+            assert np.all(np.abs(g - g_ref) <= g_tol)
+            np.testing.assert_array_equal(d, H.diagonal())
+            checked.append(ev.J_phi is not None)
+        return original_step(config, lam, cost, g, d, solve, trial)
+
+    monkeypatch.setattr(estimator, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(estimator, "_damped_step", checking_step)
+    run_sequence(seq.frames, seq.intrinsics, config)
+    assert len(checked) >= 2 * (len(seq.frames) - 1)
+    assert all(has_row == normal_in_tracking for has_row in checked)
+
+
 def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
     """A landmark 0.5 m ahead of the start pose and a camera whose true pose
     is 1 m further forward: the first, nearly undamped, step carries the

@@ -10,12 +10,15 @@ from normalvo.factors import (
     normal_pose_jacobian,
     normal_residual,
     reprojection_jacobians,
+    reprojection_row_jacobians,
 )
 from normalvo.geometry import (
     Intrinsics,
     PoseSE3,
+    normalized_coordinates,
     project,
     se3_exp,
+    skew,
     so3_exp,
 )
 from pose_reference import transform_point
@@ -288,6 +291,60 @@ def test_jacobians_with_one_pose_per_point_match_single_pose_calls():
             Jp, Jl = reprojection_jacobians(K, pose, points[i])
             np.testing.assert_allclose(Jp_b[i], Jp, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(Jl_b[i], Jl, rtol=1e-12, atol=1e-12)
+
+
+def pixel_jacobians(K, p):
+    """Reference pose and projection Jacobians, in pixels, of one
+    camera-frame point p: Jpi [I | -skew(p)] and Jpi = d pi / d p."""
+    x, y, z = p
+    Jpi = np.array(
+        [
+            [K.fx / z, 0.0, -K.fx * x / (z * z)],
+            [0.0, K.fy / z, -K.fy * y / (z * z)],
+            [K.fx / z, 0.0, -K.fx * (x - K.b) / (z * z)],
+        ]
+    )
+    return Jpi @ np.hstack([np.eye(3), -skew(p)]), Jpi
+
+
+def test_row_kernel_in_pixels_matches_reference_and_differences():
+    # the kernel works in normalized units: scaled back to pixels, its pose
+    # rows (all, or a subset) and point rows are the reference Jacobians of
+    # each point, and the pose rows are central differences of project
+    rng = np.random.default_rng(404)
+    n = 200
+    poses = [random_pose(rng) for _ in range(n)]
+    R = np.stack([p.R for p in poses])
+    # wide angles and depths from 0.3 m to 60 m, a few far off the axis
+    pc = np.column_stack(
+        [rng.uniform(-8.0, 8.0, n), rng.uniform(-8.0, 8.0, n), rng.uniform(0.3, 60.0, n)]
+    )
+    inv_z, nc = normalized_coordinates(K, pc)
+    rows = np.sort(rng.choice(n, 77, replace=False))
+    Jp_all, Jl = reprojection_row_jacobians(inv_z, nc, R)
+    Jp_rows, Jl_rows = reprojection_row_jacobians(inv_z, nc, R, rows)
+    Jp_only, none = reprojection_row_jacobians(inv_z, nc)
+    assert none is None and Jp_all.shape == (n, 3, 6) and Jp_rows.shape == (77, 3, 6)
+    np.testing.assert_array_equal(Jp_rows, Jp_all[rows])
+    np.testing.assert_array_equal(Jp_only, Jp_all)
+    np.testing.assert_array_equal(Jl_rows, Jl)
+    scale = K.scale[:, None]
+    for i in range(n):
+        ref_pose, Jpi = pixel_jacobians(K, pc[i])
+        assert _rel_err(scale * Jp_all[i], ref_pose) <= 1e-13
+        assert _rel_err(scale * Jl[i], Jpi @ R[i]) <= 1e-13
+    # the public per-point form gives the same pixel rows
+    Jp_pix, Jl_pix = reprojection_jacobians(K, (R, np.zeros((n, 3))), pc, pc=pc)
+    np.testing.assert_allclose(Jp_pix, scale * Jp_all, rtol=0, atol=0)
+    np.testing.assert_allclose(Jl_pix, scale * Jl, rtol=0, atol=0)
+    worst = 0.0
+    for i in rows[:40]:
+        point = poses[i].inverse().R @ pc[i] + poses[i].inverse().t
+        fd = _fd_pose_jacobian(
+            K, poses[i], point, lambda T: project(K, transform_point(T, point))
+        )
+        worst = max(worst, _rel_err(scale * Jp_all[i], fd))
+    assert worst <= 1e-5
 
 
 # --- normal factor jacobians -----------------------------------------------
