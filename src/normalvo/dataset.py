@@ -77,9 +77,11 @@ def save_trajectory(path, trajectory: Trajectory, header: str = "") -> None:
     """Write camera-to-world records, one pose per line."""
     lines = [f"# {h}" for h in header.splitlines()]
     lines.append("# timestamp tx ty tz qx qy qz qw")
-    for stamp, R, t in zip(trajectory.timestamps, trajectory.R, trajectory.t):
-        fields = [stamp, *t, *rotation_to_quat(R)]
-        lines.append(" ".join(format_float(v) for v in fields))
+    records = np.column_stack(
+        [trajectory.timestamps, trajectory.t, rotation_to_quat(trajectory.R)]
+    )
+    record = " ".join(["%.17g"] * 8)  # as format_float renders each field
+    lines += [record % tuple(row) for row in records.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -338,27 +338,37 @@ def triangulate(
 
 
 def rotation_to_quat(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) with w >= 0 from a rotation matrix."""
+    """Unit quaternion (x, y, z, w) with w >= 0 from a rotation matrix;
+    batched over leading axes, (..., 3, 3) -> (..., 4).
+
+    Each rotation takes its own branch: the trace when it is positive, else
+    the largest diagonal entry.
+    """
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
-    if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
-             (R[1, 0] - R[0, 1]) / s, 0.25 * s]
-        )
-    else:
-        i = int(np.argmax(np.diag(R)))
+    shape = R.shape[:-2]
+    R = R.reshape(-1, 3, 3)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    trace = d[:, 0] + d[:, 1] + d[:, 2]
+    big = np.argmax(d, axis=1)
+    q = np.empty((len(R), 4))
+    positive = trace > 0.0
+    r = R[positive]
+    s = np.sqrt(trace[positive] + 1.0) * 2.0
+    q[positive] = np.column_stack([(r[:, 2, 1] - r[:, 1, 2]) / s, (r[:, 0, 2] - r[:, 2, 0]) / s,
+                                   (r[:, 1, 0] - r[:, 0, 1]) / s, 0.25 * s])
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[i] = 0.25 * s
-        q[j] = (R[j, i] + R[i, j]) / s
-        q[k] = (R[k, i] + R[i, k]) / s
-        q[3] = (R[k, j] - R[j, k]) / s
-    if q[3] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        on = ~positive & (big == i)
+        r = R[on]
+        s = np.sqrt(r[:, i, i] - r[:, j, j] - r[:, k, k] + 1.0) * 2.0
+        q[on, i] = 0.25 * s
+        q[on, j] = (r[:, j, i] + r[:, i, j]) / s
+        q[on, k] = (r[:, k, i] + r[:, i, k]) / s
+        q[on, 3] = (r[:, k, j] - r[:, j, k]) / s
+    q[q[:, 3] < 0.0] *= -1.0
+    # each row's norm by a 1x4 @ 4x1 dot, as np.linalg.norm takes it
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    return q.reshape(shape + (4,))
 
 
 def quat_to_rotation(q: np.ndarray) -> np.ndarray:

@@ -6,7 +6,19 @@ generated world frame is anchored to the first camera: the first ground-truth
 pose is exactly the identity, pose records are camera-to-world.
 
 All randomness is drawn from `numpy.random.default_rng` streams derived from
-the config seed, so sequences are bit-identical across runs.
+the config seed, so sequences are bit-identical across runs. Frame ``i``
+draws from its own stream ``default_rng([seed, 1, i])``, in this order:
+
+1. the pixel noise of every visible measurement;
+2. one outlier flag per measurement;
+3. the outliers' offset attempts, three normals each, outlier by outlier in
+   landmark-id order: an outlier takes its first attempt that keeps the
+   disparity above the floor, and after 32 failed attempts stays an inlier;
+4. the frame normal's tangent (three normals, redrawn while degenerate),
+   then its tilt angle.
+
+The pinned dataset bytes in the tests and the benchmark's input digests
+depend on this order.
 """
 
 from __future__ import annotations
@@ -199,7 +211,7 @@ def _pose_at(segments, s: float, altitude: float):
         position = np.array([pos2[0], pos2[1], altitude])
         x_cam = np.array([math.cos(heading), math.sin(heading), 0.0])
         z_cam = np.array([0.0, 0.0, -1.0])  # optical axis straight down
-        y_cam = np.cross(z_cam, x_cam)
+        y_cam = _cross(z_cam, x_cam)
         R = np.column_stack([x_cam, y_cam, z_cam])
         return R, position
     raise ValueError(f"arc length {s} beyond path end")
@@ -233,40 +245,93 @@ def render_observations(
     with disparity above the minimum survive. Outliers replace the clean
     projection with a uniformly-directed offset of configured norm, re-drawn
     if the offset would push the disparity below its floor.
+
+    Only the landmarks in front of the camera and inside both images with a
+    pixel to spare, by a test in multiplications, are projected; the slack
+    outweighs any rounding, so the exact test keeps the same landmarks as it
+    would over the whole field.
+
+    Draws from `frame_rng`, in this order (see the module docstring): the
+    pixel noise of every visible measurement, one outlier flag per
+    measurement, then the outliers' offset attempts in stream order, at most
+    32 per outlier.
     """
-    pc = landmarks @ R + -R.T @ t  # world-to-camera is (R^T, -R^T t)
-    in_front = pc[:, 2] > 1e-6
-    idx = np.flatnonzero(in_front)
-    pc = pc[idx]
-    clean = project(cfg.intrinsics, pc)
+    K = cfg.intrinsics
     w, h = cfg.image_width - 1.0, cfg.image_height - 1.0
+    # world-to-camera is (R^T, -R^T t); the translation added by column has
+    # the bits of the broadcast add, at a fraction of its cost
+    rotated = landmarks @ R
+    shift = -R.T @ t
+    x, y, z = (rotated[:, k] + shift[k] for k in range(3))
+    near = np.flatnonzero(
+        (z > 1e-6)
+        & (x - K.b >= (-(K.cx + 1.0) / K.fx) * z) & (x <= ((w - K.cx + 1.0) / K.fx) * z)
+        & (y >= (-(K.cy + 1.0) / K.fy) * z) & (y <= ((h - K.cy + 1.0) / K.fy) * z)
+    )
+    pc = rotated[near] + shift
+    clean = project(K, pc)
     visible = (
         (clean[:, 0] >= 0.0) & (clean[:, 0] <= w)
         & (clean[:, 1] >= 0.0) & (clean[:, 1] <= h)
         & (clean[:, 2] >= 0.0) & (clean[:, 2] <= w)
         & (clean[:, 0] - clean[:, 2] > DEFAULT_MIN_DISPARITY)
     )
-    idx = idx[visible]
+    idx = near[visible]
     pc = pc[visible]
     clean = clean[visible]
 
     measured = clean + frame_rng.normal(0.0, cfg.pixel_noise, size=clean.shape)
     outlier = frame_rng.random(len(idx)) < cfg.outlier_rate
-    for j in np.flatnonzero(outlier):
-        placed = False
-        for _ in range(32):
-            direction = frame_rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            candidate = clean[j] + cfg.outlier_magnitude * direction
-            if candidate[0] - candidate[2] > DEFAULT_MIN_DISPARITY:
-                measured[j] = candidate
-                placed = True
-                break
-        if not placed:
-            outlier[j] = False
+    corrupt = np.flatnonzero(outlier)
+    if corrupt.size:
+        offset, taken = _outlier_offsets(clean[corrupt], cfg.outlier_magnitude, frame_rng)
+        placed = taken >= 0
+        measured[corrupt[placed]] = clean[corrupt[placed]] + offset[taken[placed]]
+        outlier[corrupt[~placed]] = False
     # guard: pixel noise alone must not create degenerate disparities
     ok = measured[:, 0] - measured[:, 2] > DEFAULT_MIN_DISPARITY
     return idx[ok], measured[ok], outlier[ok], pc[ok]
+
+
+def _outlier_offsets(clean: np.ndarray, magnitude: float, rng: np.random.Generator):
+    """Offsets for the clean triplets `clean` (n, 3) of the outliers, as
+    drawn one attempt at a time: each attempt is a normal 3-vector scaled to
+    `magnitude`, and an outlier takes the first of its attempts that keeps
+    its disparity above the floor, trying at most 32.
+
+    Returns every drawn attempt's offset (A, 3) and, per outlier, the index
+    of the attempt it took or -1. Attempts are drawn in blocks and handed out
+    in stream order; `rng` is then rewound and the consumed attempts drawn
+    again, so that it is left just past them.
+    """
+    state = rng.bit_generator.state
+    c0, c2 = clean[:, 0].tolist(), clean[:, 2].tolist()
+    n = len(c0)
+    taken = [-1] * n
+    blocks, o0, o2 = [], [], []
+    a = 0
+    for k in range(n):
+        for _ in range(32):
+            if a == len(o0):
+                d = rng.normal(size=(2 * (n - k) + 4, 3))
+                # each row's norm as np.linalg.norm takes it, by a 1x3 @ 3x1 dot
+                blocks.append(magnitude * (d / np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]))
+                o0 += blocks[-1][:, 0].tolist()
+                o2 += blocks[-1][:, 2].tolist()
+            a += 1
+            if (c0[k] + o0[a - 1]) - (c2[k] + o2[a - 1]) > DEFAULT_MIN_DISPARITY:
+                taken[k] = a - 1
+                break
+    rng.bit_generator.state = state
+    rng.normal(size=(a, 3))
+    return np.concatenate(blocks), np.array(taken)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, in Python floats (the same bits)."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def generate_sequence(cfg: SceneConfig) -> SimulatedSequence:
@@ -289,9 +354,9 @@ def generate_sequence(cfg: SceneConfig) -> SimulatedSequence:
         )
         normal, _ = estimate_frame_normal(pc)
         if sigma_norm > 0.0:
-            tangent = np.cross(normal, rng.normal(size=3))
+            tangent = _cross(normal, rng.normal(size=3))
             while np.linalg.norm(tangent) < 1e-12:
-                tangent = np.cross(normal, rng.normal(size=3))
+                tangent = _cross(normal, rng.normal(size=3))
             tangent /= np.linalg.norm(tangent)
             angle = rng.normal(0.0, sigma_norm)
             normal = so3_exp(angle * tangent) @ normal

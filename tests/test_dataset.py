@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from normalvo.config import ConfigError, RunConfig
+from normalvo.config import ConfigError, RunConfig, format_float
 from normalvo.dataset import (
     DATASET_FILES,
     DataFormatError,
@@ -19,7 +19,7 @@ from normalvo.dataset import (
 )
 from normalvo.estimator import SolverConfig, run_sequence
 from normalvo.evaluation import Trajectory
-from normalvo.geometry import se3_exp
+from normalvo.geometry import se3_exp, so3_exp
 from normalvo.simulator import SceneConfig, generate_sequence
 
 
@@ -77,6 +77,62 @@ def test_trajectory_written_quaternions_have_nonnegative_w(tmp_path):
         if line.startswith("#"):
             continue
         assert float(line.split()[7]) >= 0.0
+
+
+def scalar_rotation_to_quat(R):
+    """One rotation at a time, branch by branch: the writer's reference."""
+    t = np.trace(R)
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s,
+             (R[1, 0] - R[0, 1]) / s, 0.25 * s]
+        )
+    else:
+        i = int(np.argmax(np.diag(R)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
+        q = np.empty(4)
+        q[i] = 0.25 * s
+        q[j] = (R[j, i] + R[i, j]) / s
+        q[k] = (R[k, i] + R[i, k]) / s
+        q[3] = (R[k, j] - R[j, k]) / s
+    if q[3] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def test_written_trajectory_bytes_match_per_record_formatting(tmp_path):
+    # a positive trace, each largest diagonal entry with a non-positive
+    # trace, both signs of w before the flip, and random poses
+    rng = np.random.default_rng(17)
+    phis = [np.array([0.1, -0.2, 0.3]), np.zeros(3)]
+    for axis in np.eye(3):
+        phis += [3.0 * axis, -3.0 * axis, 2.5 * axis + 0.3 * np.roll(axis, 1)]
+    phis += list(rng.uniform(-3.0, 3.0, size=(40, 3)))
+    R = np.array([so3_exp(phi) for phi in phis])
+    t = rng.normal(size=(len(R), 3))
+    stamps = np.cumsum(rng.uniform(0.01, 0.5, size=len(R)))
+    # (branch, whether w is negative before the flip) per rotation
+    cases = []
+    for r in R:
+        if np.trace(r) > 0.0:
+            cases.append(("trace", False))
+        else:
+            i = int(np.argmax(np.diag(r)))
+            j, k = (i + 1) % 3, (i + 2) % 3
+            cases.append((i, r[k, j] - r[j, k] < 0.0))
+    assert {branch for branch, _ in cases} == {"trace", 0, 1, 2}
+    flips = [flip for _, flip in cases]
+    assert any(flips) and not all(flips)
+
+    path = tmp_path / "t.txt"
+    save_trajectory(path, Trajectory(stamps, R=R, t=t), header="a\nb")
+    expected = ["# a", "# b", "# timestamp tx ty tz qx qy qz qw"] + [
+        " ".join(format_float(v) for v in [stamp, *tt, *scalar_rotation_to_quat(r)])
+        for stamp, r, tt in zip(stamps, R, t)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_trajectory_comments_and_blanks_ignored(tmp_path):
@@ -224,8 +280,22 @@ def tree_digest(root):
             ),
             "570f01dbd8333c38e3214daa6a8b1fde3074b3bba5edba86e6d66a8c1ddf1581",
         ),
+        (
+            # the frontend benchmark's scene, shortened: 60 fps, 20% outliers
+            SceneConfig(
+                landmark_count=1280,
+                extent_x=16.0,
+                extent_y=21.0,
+                outlier_rate=0.2,
+                trajectory_shape="line",
+                trajectory_length=6.0,
+                frame_rate=60.0,
+                seed=3,
+            ),
+            "9fc2a46ef53882c1a0e7ffe3774a35a7d815aff5ab3270512f02f56a18131593",
+        ),
     ],
-    ids=["line", "lawnmower-with-turns"],
+    ids=["line", "lawnmower-with-turns", "frontend-outliers"],
 )
 def test_written_dataset_bytes_are_pinned(scene, digest, tmp_path):
     # every file write_dataset writes, byte for byte: the simulator and the

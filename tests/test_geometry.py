@@ -307,3 +307,13 @@ def test_quaternion_roundtrip():
 def test_quaternion_roundtrip_near_pi():
     R = so3_exp(np.array([np.pi - 1e-9, 0.0, 0.0]))
     np.testing.assert_allclose(quat_to_rotation(rotation_to_quat(R)), R, atol=1e-12)
+
+
+def test_rotation_to_quat_batches_over_leading_axes():
+    rng = np.random.default_rng(23)
+    R = so3_exp(rng.uniform(-3.0, 3.0, size=(2, 5, 3)))
+    q = rotation_to_quat(R)
+    assert q.shape == (2, 5, 4)
+    for qi, Ri in zip(q.reshape(-1, 4), R.reshape(-1, 3, 3)):
+        assert np.array_equal(qi, rotation_to_quat(Ri))
+    assert rotation_to_quat(R[0, 0]).shape == (4,)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from normalvo.geometry import Intrinsics, PoseSE3, so3_exp
+from normalvo.geometry import DEFAULT_MIN_DISPARITY, Intrinsics, PoseSE3, project, so3_exp
 from normalvo.simulator import (
     DegenerateCloud,
     SceneConfig,
@@ -233,6 +233,121 @@ def test_sequence_bit_identical_across_runs():
         assert np.array_equal(fa.frame_normal, fb.frame_normal)
     for pa, pb in zip(a.ground_truth.poses, b.ground_truth.poses):
         assert np.array_equal(pose_matrix(pa), pose_matrix(pb))
+
+
+def full_field_render(landmarks, R, t, cfg, frame_rng):
+    """Rendering by the plain algorithm: every landmark projected, then one
+    loop per outlier drawing its attempts a 3-vector at a time. Returns the
+    render's four arrays and the number of rejected attempts."""
+    pc = landmarks @ R + -R.T @ t
+    idx = np.flatnonzero(pc[:, 2] > 1e-6)
+    pc = pc[idx]
+    clean = project(cfg.intrinsics, pc)
+    w, h = cfg.image_width - 1.0, cfg.image_height - 1.0
+    visible = (
+        (clean[:, 0] >= 0.0) & (clean[:, 0] <= w)
+        & (clean[:, 1] >= 0.0) & (clean[:, 1] <= h)
+        & (clean[:, 2] >= 0.0) & (clean[:, 2] <= w)
+        & (clean[:, 0] - clean[:, 2] > DEFAULT_MIN_DISPARITY)
+    )
+    idx, pc, clean = idx[visible], pc[visible], clean[visible]
+    measured = clean + frame_rng.normal(0.0, cfg.pixel_noise, size=clean.shape)
+    outlier = frame_rng.random(len(idx)) < cfg.outlier_rate
+    rejected = 0
+    for j in np.flatnonzero(outlier):
+        placed = False
+        for _ in range(32):
+            direction = frame_rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            candidate = clean[j] + cfg.outlier_magnitude * direction
+            if candidate[0] - candidate[2] > DEFAULT_MIN_DISPARITY:
+                measured[j] = candidate
+                placed = True
+                break
+            rejected += 1
+        if not placed:
+            outlier[j] = False
+    ok = measured[:, 0] - measured[:, 2] > DEFAULT_MIN_DISPARITY
+    return (idx[ok], measured[ok], outlier[ok], pc[ok]), rejected
+
+
+def assert_render_matches_full_field(landmarks, R, t, cfg, seed):
+    """Same ids, measurements, masks and camera points, bit for bit, and the
+    generator left at the same point; returns the reference's rejections."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = render_observations(landmarks, R, t, cfg, rng)
+    want, rejected = full_field_render(landmarks, R, t, cfg, ref_rng)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert np.array_equal(rng.normal(size=4), ref_rng.normal(size=4))
+    return got, rejected
+
+
+def test_render_matches_full_field_on_the_image_and_depth_bounds():
+    # powers of two make the bounds exact: u = 64 x + 64, v = 64 y + 32 and
+    # uR = u - 16 at depth 2, on a 128 x 65 image
+    cfg = SceneConfig(
+        intrinsics=Intrinsics(fx=128.0, fy=128.0, cx=64.0, cy=32.0, b=0.25),
+        image_width=128, image_height=65, outlier_rate=0.5, seed=1,
+    )
+    up, down = np.inf, -np.inf
+    bounds = [
+        [-1.0, 0.0, 2.0],       # u = 0 (uR < 0)
+        [63 / 64, 0.0, 2.0],    # u = w
+        [-0.75, 0.0, 2.0],      # uR = 0
+        [0.0, 0.5, 2.0],        # v = h
+        [0.0, -0.5, 2.0],       # v = 0
+        [0.0, 0.0, 64.0],       # disparity exactly at the floor
+        [0.0, 0.0, 63.0],       # just above it
+        [0.0, 0.0, -2.0],       # behind the camera
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, -0.0],
+        [0.0, 0.0, 1e-6],
+        [0.25, 0.0, 1e-6],      # uR in the image at z = 1e-6
+        [0.25, 0.0, np.nextafter(1e-6, up)],
+    ]
+    # each exact bound nudged by one ulp either way
+    nudged = [
+        [np.nextafter(x, d) if k == axis else x for k, x in enumerate(p)]
+        for p, axis in zip(bounds[:5], [0, 0, 0, 1, 1])
+        for d in (up, down)
+    ]
+    rng = np.random.default_rng(9)
+    inside = np.column_stack([rng.uniform(-0.5, 0.9, 60), rng.uniform(-0.45, 0.45, 60),
+                              rng.uniform(1.5, 4.0, 60)])
+    landmarks = np.vstack([bounds, nudged, inside])
+    (ids, *_), _ = assert_render_matches_full_field(
+        landmarks, np.eye(3), np.zeros(3), cfg, seed=4
+    )
+    assert {1, 2, 3, 4, 6} <= set(ids.tolist())
+    assert not {0, 5, 7, 8, 9, 10} & set(ids.tolist())
+
+
+def test_render_matches_full_field_on_a_frame_that_sees_nothing():
+    cfg = small_cfg(outlier_rate=0.2)
+    R, t = generate_trajectory(cfg)
+    landmarks = generate_scene(cfg)
+    (ids, *_), _ = assert_render_matches_full_field(
+        landmarks, R[0], t[0] + [500.0, 0.0, 0.0], cfg, seed=2
+    )
+    assert ids.size == 0
+
+
+def test_render_matches_full_field_with_frequent_outlier_redraws():
+    # at 24 m the clean disparity is about 9 px, and about 4 in 10 of the
+    # 50 px offsets would push it below its floor
+    cfg = small_cfg(altitude=24.0, outlier_rate=0.2, landmark_count=2000,
+                    extent_x=40.0, extent_y=30.0, trajectory_length=30.0)
+    R, t = generate_trajectory(cfg)
+    landmarks = generate_scene(cfg)
+    rejected = 0
+    for i in range(0, len(R), 3):
+        _, n = assert_render_matches_full_field(
+            landmarks, R[i], t[i], cfg, seed=[cfg.seed, 1, i]
+        )
+        rejected += n
+    assert rejected > 200
 
 
 def reference_sequence(cfg):
