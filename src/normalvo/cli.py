@@ -132,20 +132,19 @@ def cmd_run(args) -> int:
 
     result = run_sequence(ds.frames, ds.intrinsics, solver)
 
-    cost_total = map_cost(result.map_state, solver)
-    cost_repro = map_cost(
-        result.map_state, _with_normal_weight(ds.config, 0.0)
-    )
     n_terms = _normal_term_count(result.map_state, solver)
-    logger.info(
-        "final map cost %.9g = reprojection %.9g (%d observations) "
-        "+ normal %.9g (%d terms)",
-        cost_total,
-        cost_repro,
-        len(result.map_state.observations),
-        cost_total - cost_repro,
-        n_terms,
-    )
+    if logger.isEnabledFor(logging.INFO):  # the costs are only logged
+        cost_total = map_cost(result.map_state, solver)
+        cost_repro = map_cost(result.map_state, _with_normal_weight(ds.config, 0.0))
+        logger.info(
+            "final map cost %.9g = reprojection %.9g (%d observations) "
+            "+ normal %.9g (%d terms)",
+            cost_total,
+            cost_repro,
+            len(result.map_state.observations),
+            cost_total - cost_repro,
+            n_terms,
+        )
 
     header_lines = [
         "estimated trajectory",

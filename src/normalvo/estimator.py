@@ -20,27 +20,10 @@ from functools import cached_property
 import numpy as np
 
 from .evaluation import Trajectory
-from .factors import (
-    CHI2_95_3DOF,
-    NORMAL_UNIT_TOL,
-    RobustLossConfig,
-    huber,
-    make_tangent_basis,
-    normal_jacobian,
-    normal_pose_jacobian,
-    normal_residual,
-    reprojection_row_jacobians,
-)
-from .geometry import (
-    Intrinsics,
-    NonPositiveDepth,
-    PoseSE3,
-    check_finite,
-    normalized_coordinates,
-    triangulate,
-    update_pose,
-    update_poses,
-)
+from .factors import (CHI2_95_3DOF, NORMAL_UNIT_TOL, RobustLossConfig, huber,
+                      make_tangent_basis, normal_jacobian, reprojection_row_jacobians)
+from .geometry import (Intrinsics, NonPositiveDepth, PoseSE3, check_finite,
+                       normalized_coordinates, skew, triangulate, update_pose, update_poses)
 
 logger = logging.getLogger(__name__)
 
@@ -90,15 +73,8 @@ class SolverConfig:
         check_finite(self)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        for name in (
-            "initial_damping",
-            "damping_ceiling",
-            "step_tolerance",
-            "cost_tolerance",
-            "chi2_threshold",
-            "sigma_px",
-            "min_disparity",
-        ):
+        for name in ("initial_damping", "damping_ceiling", "step_tolerance",
+                     "cost_tolerance", "chi2_threshold", "sigma_px", "min_disparity"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.damping_increase <= 1.0 or self.damping_decrease <= 1.0:
@@ -110,9 +86,8 @@ class SolverConfig:
         if self.keyframe_gap < 1 or self.normal_init_window < 0:
             raise ValueError("keyframe_gap >= 1 and normal_init_window >= 0")
         if self.covisibility_min_shared < 1 or self.min_track_observations < 3:
-            raise ValueError(
-                "covisibility_min_shared >= 1 and min_track_observations >= 3"
-            )
+            raise ValueError("covisibility_min_shared >= 1 and "
+                             "min_track_observations >= 3")
         if self.cull_misses < 1:
             raise ValueError("cull_misses must be at least 1")
         if self.covisibility_max_window != 0 and self.covisibility_max_window < 2:
@@ -141,7 +116,8 @@ class FrameData:
         meas = np.asarray(self.measurements, dtype=float)
         if meas.shape != (ids.size, 3):
             raise ValueError("measurements must have shape (len(landmark_ids), 3)")
-        if np.unique(ids).size != ids.size:
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("a frame cannot observe the same landmark twice")
         if not np.all(np.isfinite(meas)):
             raise ValueError("measurements must be finite")
@@ -182,13 +158,21 @@ class MapState:
     id ``obs_lm`` and measurement ``obs_uvu``. An observation's id is its
     row; removal sets its ``obs_kf`` to -1. Once such dead rows outnumber
     the live ones, the removal drops them, keeping the live rows in order,
-    so an id is only valid until the next removal. :meth:`observation_rows`
-    reads them through an index of the rows by landmark, then keyframe; it
-    is also how a removal finds the landmarks it left unobserved.
+    so an id is only valid until the next removal.
+
+    The keyframe and observation arrays grow in place (:meth:`_append`), and
+    so do the row orders that reads go through: by keyframe, and by landmark
+    then keyframe as two sorted runs, the second taking each append until
+    it outgrows ``_RECENT_ROWS`` and folds into the first. Rows of the newest
+    keyframe extend both; other appends and compactions mark them stale.
 
     Single-writer contract: tracking only reads; insertion, bundle-adjustment
     write-back, and outlier rejection mutate and must not run concurrently.
     """
+
+    # an append moves at most this many entries of the landmark order, and
+    # a fold's copy of the whole order spreads over as many appended rows
+    _RECENT_ROWS = 4096
 
     def __init__(self, intrinsics: Intrinsics, config: SolverConfig):
         self.intrinsics = intrinsics
@@ -206,7 +190,8 @@ class MapState:
         self.obs_lm = np.zeros(0, dtype=int)
         self.obs_uvu = np.zeros((0, 3))
         self._dead = 0  # rows removed since the last compaction
-        self._by_lm = None  # (rows by landmark then keyframe, their landmarks)
+        self._buffers = {}  # name -> the buffer whose first rows it views
+        self._stale = True  # the row orders need a rebuild
         self.world_normal: np.ndarray | None = None
         self.normal_init_remaining: int = config.normal_init_window
 
@@ -230,18 +215,64 @@ class MapState:
         rows = np.minimum(rows, self.landmarks.size - 1)
         return np.where(self.landmarks[rows] == ids, rows, -1)
 
+    def _append(self, **rows):
+        """Append ``rows`` to the named arrays, each a view of the first rows
+        of a buffer. A full buffer, or an array assigned whole (as by a
+        compaction), is copied into one of twice the length it needs."""
+        for name, new in rows.items():
+            old, buf = getattr(self, name), self._buffers.get(name)
+            n, end = len(old), len(old) + len(new)
+            if buf is None or old.base is not buf or end > len(buf):
+                buf = np.empty((2 * end,) + old.shape[1:], old.dtype)
+                buf[:n] = old
+                self._buffers[name] = buf
+            buf[n:end] = new
+            setattr(self, name, buf[:end])
+
+    def _index(self):
+        """Rebuild the row orders if they are stale: the rows by keyframe,
+        where keyframe k's start (the rows dead at the rebuild first), and
+        the rows by landmark then keyframe with their landmarks, all in the
+        first run."""
+        if self._stale:
+            self._kf_rows = np.argsort(self.obs_kf, kind="stable")
+            counts = np.bincount(self.obs_kf + 1, minlength=self.keyframes.size + 1)
+            self._kf_bounds = counts.cumsum()
+            self._lm_rows = np.lexsort((self.obs_kf, self.obs_lm))
+            self._lm_keys = self.obs_lm[self._lm_rows]
+            self._lm_fold = self._lm_keys.size  # every row in the first run
+            self._stale = False
+
+    def _merge_runs(self, lo, mid):
+        """Merge the sorted run ``mid:`` of the landmark order into ``lo:mid``,
+        each row after the earlier rows (keyframes) of its landmark."""
+        keys, rows = self._lm_keys, self._lm_rows
+        at = np.searchsorted(keys[lo:mid], keys[mid:], side="right")
+        rows[lo:] = np.insert(rows[lo:mid], at, rows[mid:])
+        keys[lo:] = np.insert(keys[lo:mid], at, keys[mid:])
+
+    def keyframe_rows(self, kf_ids) -> np.ndarray:
+        """Ids of the live observations of the few keyframes ``kf_ids``,
+        grouped by keyframe in the order given, ascending within each."""
+        self._index()
+        rows, at = self._kf_rows, self._kf_bounds
+        rows = np.concatenate([rows[:0]] + [rows[at[k] : at[k + 1]] for k in kf_ids])
+        return rows[self.obs_kf[rows] >= 0]
+
     def observation_rows(self, ids) -> np.ndarray:
         """Ids of the live observations of landmarks ``ids`` (1-D), grouped by
         landmark in the order given, keyframes ascending within each."""
-        if self._by_lm is None:
-            order = np.lexsort((self.obs_kf, self.obs_lm))
-            self._by_lm = (order, self.obs_lm[order])
-        order, sorted_lm = self._by_lm
-        lo = np.searchsorted(sorted_lm, ids, side="left")
-        counts = np.searchsorted(sorted_lm, ids, side="right") - lo
-        # expand each [lo, lo + count) range into consecutive positions
-        starts = np.cumsum(counts) - counts
-        rows = order[np.arange(counts.sum()) + np.repeat(lo - starts, counts)]
+        self._index()
+        keys, fold = self._lm_keys, self._lm_fold
+        first, second = keys[:fold], keys[fold:]
+        lo = np.array([first.searchsorted(ids), second.searchsorted(ids)])
+        hi = np.array([run.searchsorted(ids, "right") for run in (first, second)])
+        lo[1] += fold
+        hi[1] += fold
+        # each landmark's range in the first run, then in the second
+        lo, counts = lo.ravel("F"), (hi - lo).ravel("F")
+        at = np.arange(counts.sum()) + (lo - counts.cumsum() + counts).repeat(counts)
+        rows = self._lm_rows[at]
         return rows[self.obs_kf[rows] >= 0]
 
     def add_keyframe(self, frame_id: int, pose, normal=None, basis=None) -> int:
@@ -251,12 +282,12 @@ class MapState:
         kf_id = self.keyframes.size
         if normal is None:
             normal, basis = np.full(3, np.nan), np.full((2, 3), np.nan)
-        self.keyframes = np.append(self.keyframes, frame_id)
-        self.kf_R = np.concatenate([self.kf_R, [pose.R]])
-        self.kf_t = np.concatenate([self.kf_t, [pose.t]])
-        self.kf_normal = np.concatenate([self.kf_normal, [normal]])
-        self.kf_basis = np.concatenate([self.kf_basis, [basis]])
-        self.kf_fixed = np.append(self.kf_fixed, kf_id == 0)
+        self._append(
+            keyframes=[frame_id], kf_R=[pose.R], kf_t=[pose.t],
+            kf_normal=[normal], kf_basis=[basis], kf_fixed=[kf_id == 0],
+        )
+        if not self._stale:  # its rows start where the order ends
+            self._append(_kf_bounds=self._kf_bounds[-1:])
         return kf_id
 
     def add_landmarks(self, ids, positions):
@@ -271,7 +302,9 @@ class MapState:
             raise ValueError("landmark id already mapped")
         at = np.searchsorted(self.landmarks, ids)
         self.landmarks = np.insert(self.landmarks, at, ids)
-        self.lm_pos = np.insert(self.lm_pos, at, positions, axis=0)
+        # rows go in as runs of three floats: a 1-D insert, not a 2-D one
+        flat = np.insert(self.lm_pos.ravel(), (3 * at).repeat(3), np.ravel(positions))
+        self.lm_pos = flat.reshape(-1, 3)
         self.lm_misses = np.insert(self.lm_misses, at, 0)
 
     def add_observations(self, kf_id: int, landmark_ids, uvu) -> np.ndarray:
@@ -282,25 +315,28 @@ class MapState:
             raise ValueError("uvu must have shape (len(landmark_ids), 3)")
         if not 0 <= kf_id < self.keyframes.size:
             raise ValueError(f"no keyframe {kf_id}")
-        seen = self.obs_kf[self.observation_rows(ids)] == kf_id
-        if seen.any() or np.unique(ids).size != ids.size:
+        order = np.argsort(ids, kind="stable")
+        lms = ids[order]
+        seen = self.obs_lm[self.keyframe_rows([kf_id])]
+        if np.any(lms[1:] == lms[:-1]) or (seen.size and np.isin(seen, ids).any()):
             raise ValueError(f"keyframe {kf_id} observes a landmark twice")
         rows = self.landmark_rows(ids)
         if np.any(rows < 0):
             raise KeyError(f"no landmark {ids[rows < 0][0]}")
-        start = self.obs_kf.size
-        if self._by_lm is not None and kf_id == self.keyframes.size - 1:
-            # no row has a later keyframe: merge the new rows in last
-            order, sorted_lm = self._by_lm
-            new, lms = start + np.argsort(ids), np.sort(ids)
-            at = np.searchsorted(sorted_lm, lms, side="right")
-            self._by_lm = np.insert(order, at, new), np.insert(sorted_lm, at, lms)
-        else:  # rebuilt on the next read, as after a compaction
-            self._by_lm = None
-        self.obs_kf = np.concatenate([self.obs_kf, np.full(ids.size, kf_id)])
-        self.obs_lm = np.concatenate([self.obs_lm, ids])
-        self.obs_uvu = np.concatenate([self.obs_uvu, uvu])
-        return np.arange(start, self.obs_kf.size)
+        new = np.arange(self.obs_kf.size, self.obs_kf.size + ids.size)
+        self._append(obs_kf=np.full(ids.size, kf_id), obs_lm=ids, obs_uvu=uvu)
+        if kf_id < self.keyframes.size - 1:
+            self._stale = True  # rebuilt on the next read, as after a compaction
+        else:  # no row has a later keyframe: the new rows end the keyframe
+            # order, and are merged into the second run of the landmark order
+            end = self._lm_keys.size
+            self._append(_kf_rows=new, _lm_rows=new[order], _lm_keys=lms)
+            self._kf_bounds[-1] = self._kf_rows.size
+            self._merge_runs(self._lm_fold, end)
+            if self._lm_keys.size - self._lm_fold > self._RECENT_ROWS:
+                self._merge_runs(0, self._lm_fold)
+                self._lm_fold = self._lm_keys.size
+        return new
 
     def remove_observations(self, obs_ids):
         """Drop observations by id (dead or repeated ids count once) and
@@ -331,12 +367,12 @@ class MapState:
             self.obs_kf = self.obs_kf[live]
             self.obs_lm = self.obs_lm[live]
             self.obs_uvu = self.obs_uvu[live]
-            self._dead, self._by_lm = 0, None
+            self._dead, self._stale = 0, True
 
     def covisibility(self, kf_id: int) -> np.ndarray:
         """Landmarks each keyframe shares with ``kf_id``, indexed by keyframe
         id (0 for ``kf_id`` itself)."""
-        mine = self.observation_rows(self.obs_lm[self.obs_kf == kf_id])
+        mine = self.observation_rows(self.obs_lm[self.keyframe_rows([kf_id])])
         others = self.obs_kf[mine]
         return np.bincount(others[others != kf_id], minlength=len(self.keyframes))
 
@@ -389,52 +425,75 @@ class _Evaluation:
     w: np.ndarray  # (M,) IRLS weights of the reprojection rows
     rn: np.ndarray | tuple  # (N, 2) weighted normal residuals; tracking's as a pair
     wn: np.ndarray | float  # (N,) IRLS weights of the normal rows; tracking's one
+    m: np.ndarray | list  # (N, 3) rotated world normals R n_hat; tracking's one
     cost: float  # Huber total, inf when any point is behind its camera
     J_phi: list | None = None  # tracking's row: rotation Jacobian (2, 3),
     Hn: list | None = None  # wn J_phi^T J_phi (3, 3) and
     gn: list | None = None  # wn J_phi^T rn (3,), as float rows
 
 
-def _evaluate(K, config, pc, measured, normals=None, n_w=None) -> _Evaluation:
+def _normal_rows(config, basis, frame_normals, M):
+    """Constants of batched normal factors with tangent bases ``basis``
+    (N, 2, 3) and frame normals (N, 3), after ``M`` reprojection rows: the
+    bases of ``sqrt(normal_weight) B`` with a zero third row ``sB`` (N, 3, 3),
+    ``c = sB n_k`` and the Huber delta of each of the M + N rows."""
+    sB = np.zeros((len(basis), 3, 3))
+    sB[:, :2] = math.sqrt(config.loss.normal_weight) * basis
+    delta = np.full(M + len(basis), config.loss.huber_delta_normal)
+    delta[:M] = config.loss.huber_delta_repro
+    return sB, (sB @ frame_normals[:, :, None])[..., 0], delta
+
+
+def _evaluate(K, config, pc, measured, normals=None, n_hat=None) -> _Evaluation:
     """The robust objective at camera-frame points ``pc`` (M, 3).
 
     Reprojection row i is ``pc[i]`` measured as ``measured[i]``; a row
     behind its camera gets infinite residuals, so it costs inf and weighs 0.
-    ``normals``, a triple (world-to-camera rotations, tangent bases, frame
-    normals) of the keyframes that measured one, adds their weighted
-    tangent-plane factors against the world normal ``n_w``. A tracked frame
-    passes its one rotation unbatched, with its basis and normal as float
-    triples and a unit ``n_w``, and gets its row's Jacobian and normal terms too.
+    ``normals`` adds the weighted tangent-plane factors of keyframes that
+    measured a normal against the unit world normal ``n_hat``: batched, it
+    is their world-to-camera rotations with :func:`_normal_rows`, and their
+    rows ``sB (R n_hat) - c`` follow the reprojection rows into one Huber
+    pass. The evaluation keeps each row's ``m = R n_hat``. A tracked frame
+    passes its one rotation, with its basis and normal as float triples,
+    and gets its row's Jacobian and normal terms too.
     """
     front = pc[:, 2] > 0.0
     behind = not front.all()
     # rows behind the camera stand in at (1, 1, 1), then read inf
     shown = np.where(front[:, None], pc, 1.0) if behind else pc
     inv_z, nc = normalized_coordinates(K, shown)
-    r = (nc * K.scale + K.offset - measured) / config.sigma_px
+    M, batched = len(pc), normals is not None and len(normals) == 4
+    r = nc * K.scale + K.offset
+    # batched normal rows follow the reprojection rows in one array
+    rows = np.empty((M + len(normals[0]), 3)) if batched else r
+    r = np.subtract(r, measured, out=rows[:M])
+    r /= config.sigma_px
     if behind:
         r[~front] = np.inf
-    sq = np.einsum("ij,ij->i", r, r)
-    rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
+    m = rows[M:]  # no normal rows unless batched
+    if batched:
+        rotations, sB, c, delta = normals
+        m = rotations.dot(n_hat)
+        np.matmul(sB, m[:, :, None], out=rows[M:, :, None])
+        rows[M:] -= c
+    sq = np.einsum("ij,ij->i", rows, rows)
+    rho, w = huber(np.sqrt(sq), delta if batched else config.loss.huber_delta_repro)
     cost = float(rho.sum())
-    if normals is None:
-        return _Evaluation(pc, inv_z, nc, r, sq, w, np.zeros((0, 2)), np.zeros(0), cost)
+    if normals is None or batched:
+        return _Evaluation(pc, inv_z, nc, r, sq[:M], w[:M], rows[M:, :2], w[M:], m, cost)
     rotations, basis, frame_normals = normals
     s, delta_n = math.sqrt(config.loss.normal_weight), config.loss.huber_delta_normal
-    if rotations.ndim == 2:  # one row in 3-vector floats, at m = R n_hat
-        mx, my, mz = m = (rotations @ n_w).tolist()
-        d = [a - b for a, b in zip(m, frame_normals)]
-        rn = tuple(s * (a * d[0] + b * d[1] + c * d[2]) for a, b, c in basis)
-        rho_n, wn = huber(math.hypot(*rn), delta_n)
-        # -sqrt(w) B skew(m), whose row i is sqrt(w) m x b_i
-        J = [(s * (my * c - mz * b), s * (mz * a - mx * c), s * (mx * b - my * a))
-             for a, b, c in basis]
-        Hn = [[wn * (a * x + b * y) for x, y in zip(*J)] for a, b in zip(*J)]
-        gn = [wn * (a * rn[0] + b * rn[1]) for a, b in zip(*J)]
-        return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, cost + rho_n, J, Hn, gn)
-    rn = s * normal_residual(basis, rotations, n_w, frame_normals)
-    rho_n, wn = huber(np.sqrt(np.einsum("ij,ij->i", rn, rn)), delta_n)
-    return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, cost + float(rho_n.sum()))
+    # one row in 3-vector floats, at m = R n_hat
+    mx, my, mz = m = (rotations @ n_hat).tolist()
+    d = [a - b for a, b in zip(m, frame_normals)]
+    rn = tuple(s * (a * d[0] + b * d[1] + c * d[2]) for a, b, c in basis)
+    rho_n, wn = huber(math.hypot(*rn), delta_n)
+    # -sqrt(w) B skew(m), whose row i is sqrt(w) m x b_i
+    J = [(s * (my * c - mz * b), s * (mz * a - mx * c), s * (mx * b - my * a))
+         for a, b, c in basis]
+    Hn = [[wn * (a * x + b * y) for x, y in zip(*J)] for a, b in zip(*J)]
+    gn = [wn * (a * rn[0] + b * rn[1]) for a, b in zip(*J)]
+    return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, m, cost + rho_n, J, Hn, gn)
 
 
 def _predicted_decrease(g, d, h, lam) -> float:
@@ -471,10 +530,8 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
         if h is None or not np.isfinite(h).all():
             lam *= config.damping_increase
             continue
-        if (
-            math.sqrt(h @ h) < config.step_tolerance
-            or _predicted_decrease(g, d, h, lam) < config.cost_tolerance * cost
-        ):
+        if (math.sqrt(h @ h) < config.step_tolerance
+                or _predicted_decrease(g, d, h, lam) < config.cost_tolerance * cost):
             return lam, None, True
         state = trial(h)
         new_cost = state[-1].cost
@@ -486,13 +543,8 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
     return lam, None, False
 
 
-def track_frame(
-    map_state: MapState,
-    frame: FrameData,
-    config: SolverConfig,
-    prev_pose=None,
-    prev_prev_pose=None,
-) -> TrackResult:
+def track_frame(map_state: MapState, frame: FrameData, config: SolverConfig,
+                prev_pose=None, prev_prev_pose=None) -> TrackResult:
     """Damped Gauss-Newton on the frame pose alone, landmarks fixed.
 
     Minimizes the robust sum of whitened reprojection residuals over the
@@ -508,21 +560,14 @@ def track_frame(
     mask = lm_rows >= 0
     matched_ids = frame.landmark_ids[mask]
     if matched_ids.size < config.min_track_observations:
-        raise TrackingLost(
-            frame.frame_id,
-            f"{matched_ids.size} mapped observations, "
-            f"need {config.min_track_observations}",
-        )
+        raise TrackingLost(frame.frame_id, f"{matched_ids.size} mapped observations, "
+                           f"need {config.min_track_observations}")
     lm_rows = lm_rows[mask]
     points = map_state.lm_pos[lm_rows]
     measured = frame.measurements[mask]
     n_w = map_state.world_normal
-    use_normal = (
-        config.normal_in_tracking
-        and config.loss.normal_weight > 0.0
-        and n_w is not None
-        and frame.frame_normal is not None
-    )
+    use_normal = (config.normal_in_tracking and config.loss.normal_weight > 0.0
+                  and n_w is not None and frame.frame_normal is not None)
     if use_normal:
         basis, n_k = frame.tangent_basis.tolist(), frame.frame_normal.tolist()
         n_w = n_w / math.sqrt(n_w @ n_w)
@@ -564,31 +609,17 @@ def track_frame(
     inlier_mask = ev.sq <= config.chi2_threshold
     n_inliers = int(np.count_nonzero(inlier_mask))
     if n_inliers < config.min_track_observations:
-        raise TrackingLost(
-            frame.frame_id, f"only {n_inliers} inliers after optimization"
-        )
+        raise TrackingLost(frame.frame_id, f"only {n_inliers} inliers after optimization")
     if n_inliers < config.min_inlier_fraction * matched_ids.size:
-        raise TrackingLost(
-            frame.frame_id,
-            f"inlier fraction {n_inliers / matched_ids.size:.2f} below "
-            f"{config.min_inlier_fraction:.2f}",
-        )
-    logger.debug(
-        "frame %d: tracked with %d/%d inliers, cost %.6g",
-        frame.frame_id,
-        n_inliers,
-        matched_ids.size,
-        ev.cost,
-    )
+        fraction = n_inliers / matched_ids.size
+        raise TrackingLost(frame.frame_id, f"inlier fraction {fraction:.2f} below "
+                           f"{config.min_inlier_fraction:.2f}")
+    logger.debug("frame %d: tracked with %d/%d inliers, cost %.6g",
+                 frame.frame_id, n_inliers, matched_ids.size, ev.cost)
     return TrackResult(
-        R=R,
-        t=t,
-        inlier_ids=matched_ids[inlier_mask],
-        outlier_ids=matched_ids[~inlier_mask],
-        matched=int(matched_ids.size),
-        cost=ev.cost,
-        inlier_rows=lm_rows[inlier_mask],
-        outlier_rows=lm_rows[~inlier_mask],
+        R=R, t=t, matched=int(matched_ids.size), cost=ev.cost,
+        inlier_ids=matched_ids[inlier_mask], outlier_ids=matched_ids[~inlier_mask],
+        inlier_rows=lm_rows[inlier_mask], outlier_rows=lm_rows[~inlier_mask],
     )
 
 
@@ -615,22 +646,16 @@ def cull_landmarks(map_state: MapState, track: TrackResult, config: SolverConfig
     return int(culled.size)
 
 
-def select_keyframe(
-    map_state: MapState, frame_id: int, inlier_count: int, config: SolverConfig
-) -> bool:
+def select_keyframe(map_state: MapState, frame_id: int, inlier_count: int,
+                    config: SolverConfig) -> bool:
     """Promote when overlap with the last keyframe decays or a gap elapses."""
     if frame_id - map_state.keyframes[-1] >= config.keyframe_gap:
         return True
     return inlier_count < config.keyframe_overlap * map_state.reference_inliers
 
 
-def insert_keyframe(
-    map_state: MapState,
-    frame: FrameData,
-    pose,
-    matched_ids,
-    config: SolverConfig,
-) -> int:
+def insert_keyframe(map_state: MapState, frame: FrameData, pose, matched_ids,
+                    config: SolverConfig) -> int:
     """Add a keyframe at world-to-camera ``pose`` (anything holding ``R`` and
     ``t``) and return its id: matched inliers become observations, the rest
     of the frame's measurements are triangulated into new landmarks.
@@ -640,9 +665,8 @@ def insert_keyframe(
     world normal once it reaches zero.
     """
     K, R, t = map_state.intrinsics, pose.R, pose.t
-    kf_id = map_state.add_keyframe(
-        frame.frame_id, pose, frame.frame_normal, frame.tangent_basis
-    )
+    kf_id = map_state.add_keyframe(frame.frame_id, pose, frame.frame_normal,
+                                   frame.tangent_basis)
 
     ids, meas = frame.landmark_ids, frame.measurements
     mapped = map_state.landmark_rows(ids) >= 0
@@ -657,13 +681,8 @@ def insert_keyframe(
     if kf_id == 0 and frame.frame_normal is not None:
         map_state.world_normal = R.T @ frame.frame_normal
     map_state.normal_init_remaining = max(map_state.normal_init_remaining - 1, 0)
-    logger.debug(
-        "keyframe %d (frame %d): %d observations, %d new landmarks",
-        kf_id,
-        frame.frame_id,
-        map_state.reference_inliers,
-        np.count_nonzero(new),
-    )
+    logger.debug("keyframe %d (frame %d): %d observations, %d new landmarks",
+                 kf_id, frame.frame_id, map_state.reference_inliers, np.count_nonzero(new))
     return kf_id
 
 
@@ -679,8 +698,17 @@ def reject_outliers(map_state: MapState, config: SolverConfig, obs_ids, sq) -> i
 
 def map_cost(map_state: MapState, config: SolverConfig) -> float:
     """Robust objective over stored observations plus normal factors: the
-    cost of a bundle adjustment whose window is every keyframe."""
-    return _BAProblem(map_state, range(len(map_state.keyframes)), config).ev.cost
+    cost of a bundle adjustment whose window is every keyframe, with each
+    observation's camera point formed from its own keyframe's pose."""
+    ms, obs, n_w = map_state, map_state.observations, map_state.world_normal
+    kf, points = ms.obs_kf[obs], ms.lm_pos[ms.landmark_rows(ms.obs_lm[obs])]
+    pc = np.einsum("nij,nj->ni", ms.kf_R[kf], points) + ms.kf_t[kf]
+    measured, normals = ~np.isnan(ms.kf_normal[:, 0]), None
+    if measured.any() and config.loss.normal_weight > 0.0 and n_w is not None:
+        basis, n_k = ms.kf_basis[measured], ms.kf_normal[measured]
+        normals = (ms.kf_R[measured],) + _normal_rows(config, basis, n_k, obs.size)
+        n_w = n_w / math.sqrt(n_w @ n_w)
+    return _evaluate(ms.intrinsics, config, pc, ms.obs_uvu[obs], normals, n_w).cost
 
 
 @dataclass(frozen=True)
@@ -709,86 +737,90 @@ class _BAProblem:
     """
 
     def __init__(self, map_state: MapState, window_ids, config: SolverConfig):
-        self.map = map_state
-        self.config = config
-        self.window_ids = window_ids
-        window = np.unique(np.asarray(window_ids, dtype=int))
+        self.map, self.config, self.window_ids = map_state, config, window_ids
+        window = np.array(sorted(set(window_ids)), dtype=int)
         obs_kf, obs_lm = map_state.obs_kf, map_state.obs_lm
 
         # every live observation of a landmark the window sees, grouped by
-        # landmark with keyframes ascending; the window's rows are read
-        # through a keyframe table at obs_kf + 1, as dead rows hold -1
-        in_window = np.zeros(len(map_state.keyframes) + 1, dtype=bool)
-        in_window[window + 1] = True
-        self.lm_ids = np.unique(obs_lm[in_window[obs_kf + 1]])
+        # landmark with keyframes ascending (np.unique by a sort and a
+        # neighbour test: numpy's own costs several times more at this size)
+        seen = np.sort(obs_lm[map_state.keyframe_rows(window)])
+        first = np.ones(seen.size, dtype=bool)
+        np.not_equal(seen[1:], seen[:-1], out=first[1:])
+        self.lm_ids = seen[first]
         self.obs_ids = map_state.observation_rows(self.lm_ids)
         self.obs_uvu = map_state.obs_uvu[self.obs_ids]
-        self.obs_lm = np.searchsorted(self.lm_ids, obs_lm[self.obs_ids])
+        lms, kfs = obs_lm[self.obs_ids], obs_kf[self.obs_ids]
+        self.obs_lm = self.lm_ids.searchsorted(lms)
 
+        # the window's keyframes and those of the rows, ascending; the pose
+        # row and the free-pose index (-1 for poses held fixed) of each
+        # keyframe id, read through tables over the keyframes
+        posed = np.zeros(len(map_state.keyframes), dtype=bool)
+        posed[window] = posed[kfs] = True
+        self.all_kf_ids = np.flatnonzero(posed)
+        pose_of = posed.cumsum() - 1
         self.free_ids = window[~map_state.kf_fixed[window]]
-        self.all_kf_ids = np.union1d(window, obs_kf[self.obs_ids])
-        self.obs_pose = np.searchsorted(self.all_kf_ids, obs_kf[self.obs_ids])
-        # row of each observation in the (pose, landmark) grid of evaluate
-        self._pose_lm = self.obs_pose * len(self.lm_ids) + self.obs_lm
-        # pose row of each free pose, and free-pose index of each pose row
-        # (-1 for poses held fixed)
-        self.free_rows = np.searchsorted(self.all_kf_ids, self.free_ids)
-        free_of_row = np.full(len(self.all_kf_ids), -1)
-        free_of_row[self.free_rows] = np.arange(self.free_rows.size)
-        self.obs_free = free_of_row[self.obs_pose]
-        # rows are grouped by landmark already; cache segment-sum boundaries
-        # (indices are >= 0, so prepending -1 starts the first segment)
-        self._lm_starts = np.flatnonzero(np.diff(self.obs_lm, prepend=-1))
-        # the rows at free poses, by pose (the stable sort puts the -1 first)
-        order = np.argsort(self.obs_free, kind="stable")
-        self._free_rows = order[self.obs_free[order] >= 0]
-        sorted_free = self.obs_free[self._free_rows]
-        at = np.flatnonzero(np.diff(sorted_free, prepend=-1)).tolist()
-        # each free pose with rows, and the span of their stacked residuals
-        spans = zip(at, at[1:] + [sorted_free.size])
-        self._free_spans = [(int(sorted_free[a]), 3 * a, 3 * b) for a, b in spans]
+        self.free_rows = pose_of[self.free_ids]
+        P = self.free_ids.size
+        free_of = np.full(len(map_state.keyframes), -1)
+        free_of[self.free_ids] = np.arange(P)
+        self.obs_pose, self.obs_free = pose_of[kfs], free_of[kfs]
+        # rows are grouped by landmark already, each landmark with a row:
+        # the segment-sum boundaries are where each landmark's rows begin
+        self._lm_starts = lms.searchsorted(self.lm_ids)
+        # the rows at free poses, by pose (the stable sort puts the -1 first),
+        # and the span of each free pose's stacked residuals
+        ends = np.bincount(self.obs_free + 1, minlength=P + 1).cumsum()
+        self._free_rows = self.obs_free.argsort(kind="stable")[ends[0] :]
+        at = (3 * (ends - ends[0])).tolist()
+        spans = zip(range(P), at, at[1:])
+        self._free_spans = [(p, a, b) for p, a, b in spans if a < b]
 
         # state
         self.R = map_state.kf_R[self.all_kf_ids]
         self.t = map_state.kf_t[self.all_kf_ids]
         # every landmark with a live observation is mapped
-        lm_rows = np.searchsorted(map_state.landmarks, self.lm_ids)
+        lm_rows = map_state.landmarks.searchsorted(self.lm_ids)
         self.points = map_state.lm_pos[lm_rows]
-        self.n_w = (
-            None if map_state.world_normal is None else map_state.world_normal.copy()
-        )
+        n_w = map_state.world_normal
+        self.n_w = None if n_w is None else n_w.copy()
 
-        # normal-factor rows of the window keyframes that measured a normal
+        # the normal rows of window keyframes that measured a normal: pose
+        # rows and _normal_rows; the unit world normal, read while it is
+        # frozen; the rows b_i of sqrt(w) B as cross-product matrices, whose
+        # product with m is the rotation Jacobian m x b_i; and 1 where row n
+        # sits at free pose p (at most one per pose), to add its terms there
         self.normals = None
         normal_kfs = window[~np.isnan(map_state.kf_normal[window, 0])]
         if normal_kfs.size and config.loss.normal_weight > 0.0 and self.n_w is not None:
-            self.normals = (
-                np.searchsorted(self.all_kf_ids, normal_kfs),
-                map_state.kf_basis[normal_kfs],
-                map_state.kf_normal[normal_kfs],
-            )
-            self.normal_free = free_of_row[self.normals[0]]
+            self._basis = map_state.kf_basis[normal_kfs]
+            n_k, M = map_state.kf_normal[normal_kfs], self.obs_ids.size
+            rows = _normal_rows(config, self._basis, n_k, M)
+            self.normals = (pose_of[normal_kfs],) + rows
+            self._n_hat = self.n_w / math.sqrt(self.n_w @ self.n_w)
+            self._cross = -skew(rows[0][:, :2]).reshape(-1, 6, 3)
+            self._normal_sum = (free_of[normal_kfs] == np.arange(P)[:, None]) * 1.0
         self.nw_active = self.normals is not None and map_state.normal_active
         # flat offsets of the free rows' 6x3 blocks in the W of _ba_assemble
         cols = 3 * (len(self.lm_ids) + self.nw_active)
-        at = cols * 6 * sorted_free + 3 * self.obs_lm[self._free_rows]
-        self._w_at = at[:, None, None] + cols * np.arange(6)[:, None] + np.arange(3)
+        free = self._free_rows
+        at = cols * 6 * self.obs_free[free] + 3 * self.obs_lm[free]
+        self._w_at = at[:, None, None] + (cols * np.arange(6)[:, None] + np.arange(3))
         self.ev = self.evaluate(self.R, self.t, self.points, self.n_w)
 
     def evaluate(self, R, t, points, n_w) -> _Evaluation:
         """The objective at stacked poses ``(R, t)``, landmark ``points`` and
-        world normal ``n_w``; each pose transforms every landmark in one
-        product, and each observation takes its own pair from the grid."""
-        grid = points @ np.swapaxes(R, 1, 2)
-        grid += t[:, None]
-        pc = grid.reshape(-1, 3).take(self._pose_lm, axis=0)
-        normals = None
+        world normal ``n_w``; each observation's camera point is formed from
+        its own pose and landmark."""
+        R_o, X = R.take(self.obs_pose, axis=0), points.take(self.obs_lm, axis=0)
+        pc = np.einsum("nij,nj->ni", R_o, X) + t.take(self.obs_pose, axis=0)
+        normals = n_hat = None
         if self.normals is not None:
-            normal_rows, basis, frame_normals = self.normals
-            normals = (R[normal_rows], basis, frame_normals)
-        return _evaluate(
-            self.map.intrinsics, self.config, pc, self.obs_uvu, normals, n_w
-        )
+            normals = (R.take(self.normals[0], axis=0),) + self.normals[1:]
+            # held while the world normal is frozen, else that of this state
+            n_hat = n_w / math.sqrt(n_w @ n_w) if self.nw_active else self._n_hat
+        return _evaluate(self.map.intrinsics, self.config, pc, self.obs_uvu, normals, n_hat)
 
     def write_back(self):
         self.map.kf_R[self.free_ids] = self.R[self.free_rows]
@@ -812,11 +844,11 @@ def _ba_linearize(problem: _BAProblem):
     Jp, Jl = reprojection_row_jacobians(ev.inv_z, ev.nc, R, problem._free_rows)
     J_phi = J_nw = None
     if problem.normals is not None:
-        sqrt_lam = math.sqrt(cfg.loss.normal_weight)
-        args = problem.normals[1], problem.R[problem.normals[0]], problem.n_w
-        J_phi = sqrt_lam * normal_pose_jacobian(*args)
+        # -sqrt(w) B skew(m), whose row i is m x b_i for b_i of sqrt(w) B
+        J_phi = (problem._cross @ ev.m[:, :, None]).reshape(-1, 2, 3)
         if problem.nw_active:  # J_nw is read only while the world normal is free
-            J_nw = sqrt_lam * normal_jacobian(*args)[1]
+            args = problem._basis, problem.R[problem.normals[0]], problem.n_w
+            J_nw = math.sqrt(cfg.loss.normal_weight) * normal_jacobian(*args)[1]
     scale = problem.map.intrinsics.scale[:, None] / cfg.sigma_px
     Jp *= scale
     Jl *= scale
@@ -830,16 +862,14 @@ def _ba_assemble(problem: _BAProblem, Jp, Jl_all, J_phi, J_nw):
     a row at a free pose p its block ``(w Jp)^T Jl`` to W[6p:6p+6, 3l:3l+3];
     per-row block products are matmuls over swapped axes, several times
     faster than a batched einsum at window sizes. A free pose's Hpp and gp
-    are products over its rows stacked, with no per-row 6x6 blocks.
+    are one product ``(w Jp)^T [Jp | r]`` over its rows stacked, with no
+    per-row 6x6 blocks; they are returned as views of that (P, 6, 7) array.
     """
     ev = problem.ev
-    P = len(problem.free_ids)
-    L = len(problem.lm_ids)
+    P, L = len(problem.free_ids), len(problem.lm_ids)
     Lb = L + problem.nw_active
-    Hpp = np.zeros((P, 6, 6))
-    gp = np.zeros((P, 6))
-    Hll = np.zeros((Lb, 3, 3))
-    gl = np.zeros((Lb, 3))
+    Hg = np.zeros((P, 6, 7))
+    Hll, gl = np.zeros((Lb, 3, 3)), np.zeros((Lb, 3))
     W = np.zeros((6 * P, 3 * Lb))
 
     # every landmark has a row, so the segments cover them all
@@ -853,28 +883,30 @@ def _ba_assemble(problem: _BAProblem, Jp, Jl_all, J_phi, J_nw):
     wJp = w[:, None, None] * Jp
     # each (pose, landmark) pair is observed once, so no block repeats
     W.reshape(-1)[problem._w_at] = np.swapaxes(wJp, 1, 2) @ Jl
-    A, Jp2, r2 = wJp.reshape(-1, 6), Jp.reshape(-1, 6), r.reshape(-1)
+    A = wJp.reshape(-1, 6)
+    Jr = np.concatenate([Jp, r[:, :, None]], axis=2).reshape(-1, 7)
     for p, lo, hi in problem._free_spans:
-        Hpp[p] = A[lo:hi].T @ Jp2[lo:hi]
-        gp[p] = A[lo:hi].T @ r2[lo:hi]
+        Hg[p] = A[lo:hi].T @ Jr[lo:hi]
 
     if J_phi is not None:
-        # one normal row per keyframe, so the free-pose indices are distinct
-        wJ_phiT = np.swapaxes(ev.wn[:, None, None] * J_phi, 1, 2)
-        p = problem.normal_free
-        on = p >= 0
-        Hpp[p[on], 3:, 3:] += wJ_phiT[on] @ J_phi[on]
-        gp[p[on], 3:] += np.einsum("nba,na->nb", wJ_phiT[on], ev.rn[on])
+        # each normal row's rotation block J^T [J | rn], weighted and added
+        # to its free pose (rows at fixed poses drop out) by one product
+        # with the row-to-pose table
+        JT = np.swapaxes(J_phi, 1, 2)
+        to_pose = problem._normal_sum * ev.wn
+        blocks = JT @ np.concatenate([J_phi, ev.rn[:, :, None]], axis=2)
+        Hg[:, 3:, 3:] += (to_pose @ blocks.reshape(len(blocks), -1)).reshape(P, 3, 4)
         if problem.nw_active:
             wJ_nw = ev.wn[:, None, None] * J_nw
             Hll[L] += np.einsum("nab,nac->bc", wJ_nw, J_nw)
             gl[L] += np.einsum("nab,na->b", wJ_nw, ev.rn)
-            W.reshape(P, 6, Lb, 3)[p[on], 3:, L, :] += wJ_phiT[on] @ J_nw[on]
+            W_nw = (to_pose @ (JT @ J_nw).reshape(len(J_nw), -1)).reshape(P, 3, 3)
+            W.reshape(P, 6, Lb, 3)[:, 3:, L, :] += W_nw
             # the residual is scale-free in n_w, so its radial direction has
             # exactly zero curvature and gradient; pin it so the block inverts
             n_hat = problem.n_w / np.linalg.norm(problem.n_w)
             Hll[L] += np.trace(Hll[L]) * np.outer(n_hat, n_hat)
-    return Hpp, gp, Hll, gl, W
+    return Hg[..., :6], Hg[..., 6], Hll, gl, W
 
 
 def _inverse_3x3(A):
@@ -915,9 +947,8 @@ def _ba_solve(Hpp, gp, Hll, gl, W, lam):
     return dp, dl
 
 
-def local_bundle_adjustment(
-    map_state: MapState, current_kf_id: int, config: SolverConfig
-) -> BAReport:
+def local_bundle_adjustment(map_state: MapState, current_kf_id: int,
+                            config: SolverConfig) -> BAReport:
     """Optimize the covisible window around one keyframe.
 
     Window poses float (except gauge-fixed ones), every landmark they observe
@@ -936,26 +967,20 @@ def local_bundle_adjustment(
     """
     if len(map_state.keyframes) < 2:
         raise ValueError("local bundle adjustment needs at least 2 keyframes")
-    neighbors = map_state.covisible_keyframes(
-        current_kf_id, config.covisibility_min_shared
-    )
+    neighbors = map_state.covisible_keyframes(current_kf_id, config.covisibility_min_shared)
     cap = config.covisibility_max_window
     if cap:
         neighbors = neighbors[: cap - 1]
     window = {current_kf_id} | set(neighbors)
     problem = _BAProblem(map_state, sorted(window), config)
     lam = config.initial_damping
-    accepted = 0
-    iterations = 0
-    removed_total = 0
+    accepted = iterations = removed_total = 0
 
     def run_rejection() -> int:
         nonlocal problem, removed_total
         removed = reject_outliers(map_state, config, problem.obs_ids, problem.ev.sq)
         removed_total += removed
-        logger.debug(
-            "ba[%d]: rejection removed %d observations", current_kf_id, removed
-        )
+        logger.debug("ba[%d]: rejection removed %d observations", current_kf_id, removed)
         if removed:
             # the rebuild reads the map: store the state ev was evaluated at
             problem.write_back()
@@ -989,18 +1014,13 @@ def local_bundle_adjustment(
         Hpp, gp, Hll, gl, W = _ba_assemble(problem, *_ba_linearize(problem))
         g = np.concatenate([gp.ravel(), gl.ravel()])
         d = np.concatenate([B.diagonal(axis1=1, axis2=2).ravel() for B in (Hpp, Hll)])
-        lam, state, converged = _damped_step(
-            config, lam, problem.ev.cost, g, d, solve, trial
-        )
+        cost = problem.ev.cost
+        lam, state, converged = _damped_step(config, lam, cost, g, d, solve, trial)
         if state is not None:
             problem.R, problem.t, problem.points, problem.n_w, problem.ev = state
             accepted += 1
-            logger.debug(
-                "ba[%d]: iter %d accepted cost %.9g",
-                current_kf_id,
-                accepted,
-                problem.ev.cost,
-            )
+            logger.debug("ba[%d]: iter %d accepted cost %.9g",
+                         current_kf_id, accepted, problem.ev.cost)
         elif not converged and not accepted:
             raise SolverDiverged(
                 f"bundle adjustment at keyframe {current_kf_id}: damping ceiling "
@@ -1016,25 +1036,14 @@ def local_bundle_adjustment(
             # pruned problem
 
     problem.write_back()
-    logger.debug(
-        "ba[%d]: %d iterations, %d accepted, cost %.9g -> %.9g, removed %d",
-        current_kf_id,
-        iterations,
-        accepted,
-        cost_initial,
-        problem.ev.cost,
-        removed_total,
-    )
+    logger.debug("ba[%d]: %d iterations, %d accepted, cost %.9g -> %.9g, removed %d",
+                 current_kf_id, iterations, accepted, cost_initial, problem.ev.cost,
+                 removed_total)
     return BAReport(
-        window=tuple(problem.window_ids),
-        free_poses=len(problem.free_ids),
-        landmarks=len(problem.lm_ids),
-        observations=int(problem.obs_ids.size),
-        iterations=iterations,
-        accepted_steps=accepted,
-        cost_initial=cost_initial,
-        cost_final=problem.ev.cost,
-        removed_observations=removed_total,
+        window=tuple(problem.window_ids), free_poses=len(problem.free_ids),
+        landmarks=len(problem.lm_ids), observations=int(problem.obs_ids.size),
+        iterations=iterations, accepted_steps=accepted, cost_initial=cost_initial,
+        cost_final=problem.ev.cost, removed_observations=removed_total,
     )
 
 
@@ -1091,34 +1100,25 @@ def run_sequence(frames, intrinsics: Intrinsics, config: SolverConfig) -> RunRes
                     result = track_frame(map_state, frame, config, prev, prev_prev)
                 except TrackingLost:
                     result = track_frame(map_state, frame, config, prev, None)
-                    logger.debug(
-                        "frame %d: recovered from previous pose", frame.frame_id
-                    )
+                    logger.debug("frame %d: recovered from previous pose", frame.frame_id)
             except TrackingLost as err:
                 lost_streak += 1
                 streak_start = frame.frame_id if lost_streak == 1 else streak_start
                 if lost_streak > config.max_track_failures:
                     raise TrackingLost(
-                        streak_start,
-                        f"no recovery within {lost_streak} frames ({err})",
+                        streak_start, f"no recovery within {lost_streak} frames ({err})"
                     ) from err
-                logger.debug(
-                    "frame %d: coasting (%d/%d)",
-                    frame.frame_id,
-                    lost_streak,
-                    config.max_track_failures,
-                )
+                logger.debug("frame %d: coasting (%d/%d)",
+                             frame.frame_id, lost_streak, config.max_track_failures)
                 R, t = constant_velocity_init(prev, prev_prev)
                 matched = inliers = 0
             else:
                 lost_streak = 0
                 cull_landmarks(map_state, result, config)
-                if select_keyframe(
-                    map_state, frame.frame_id, result.inlier_ids.size, config
-                ):
-                    kf_id = insert_keyframe(
-                        map_state, frame, result, result.inlier_ids, config
-                    )
+                if select_keyframe(map_state, frame.frame_id, result.inlier_ids.size,
+                                   config):
+                    kf_id = insert_keyframe(map_state, frame, result, result.inlier_ids,
+                                            config)
                     local_bundle_adjustment(map_state, kf_id, config)
                 R, t = result.R, result.t
                 matched, inliers = result.matched, int(result.inlier_ids.size)

@@ -578,9 +578,8 @@ def test_tracker_normal_row_matches_the_batched_factor():
         basis = make_tangent_basis(n_k)
         row = (R, basis.tolist(), n_k.tolist())
         ev = estimator._evaluate(K, config, no_rows, no_rows, row, n_hat.tolist())
-        batched = estimator._evaluate(
-            K, config, no_rows, no_rows, (R[None], basis[None], n_k[None]), n_hat
-        )
+        factor = estimator._normal_rows(config, basis[None], n_k[None], 0)
+        batched = estimator._evaluate(K, config, no_rows, no_rows, (R[None],) + factor, n_hat)
 
         ref = sqrt_w * normal_residual(basis, R, n_hat, n_k)
         ref_rho, ref_w = huber(np.linalg.norm(ref), delta)
@@ -1156,6 +1155,57 @@ def test_observation_index_matches_a_scan_through_adds_culls_and_compaction():
     assert compacted
 
 
+def test_row_indices_match_a_recount_through_growth_and_compactions(monkeypatch):
+    # the arrays grow through several capacity doublings, the landmark
+    # order folds its second run into the first, rows go to an older
+    # keyframe and removals compact the arrays; after each step every read
+    # matches a recount over all rows
+    monkeypatch.setattr(MapState, "_RECENT_ROWS", 40)
+    rng = np.random.default_rng(8)
+    ms = MapState(K, SolverConfig())
+    capacities, folded, compactions, older = [0], False, 0, 0
+
+    def check():
+        np.testing.assert_array_equal(ms.observations, np.flatnonzero(ms.obs_kf >= 0))
+        query = rng.permutation(np.append(ms.landmarks, [10**6, -2]))
+        np.testing.assert_array_equal(
+            ms.observation_rows(query), brute_force_rows(ms, query)
+        )
+        kfs = rng.permutation(len(ms.keyframes))[:4]
+        by_kf = [np.flatnonzero(ms.obs_kf == k) for k in kfs]
+        np.testing.assert_array_equal(ms.keyframe_rows(kfs), np.concatenate(by_kf))
+        assert_map_consistent(ms)
+
+    for kf_id in range(24):
+        ms.add_keyframe(kf_id, PoseSE3.identity())
+        fresh = np.arange(8 * kf_id, 8 * kf_id + 8)
+        old = rng.choice(ms.landmarks, size=min(12, ms.landmarks.size), replace=False)
+        ms.add_landmarks(fresh, rng.uniform(1.0, 5.0, (8, 3)))
+        ids = rng.permutation(np.concatenate([fresh, old]))
+        rows = ms.add_observations(kf_id, ids, rng.normal(size=(ids.size, 3)))
+        np.testing.assert_array_equal(ms.obs_lm[rows], ids)
+        assert np.all(ms.obs_kf[rows] == kf_id)
+        capacities.append(len(ms.obs_kf.base))
+        folded |= 0 < ms._lm_fold < ms.obs_kf.size
+        check()
+        if kf_id % 7 == 6:  # an older keyframe's rows, after a newer one's
+            k = int(rng.integers(kf_id))
+            unseen = np.setdiff1d(ms.landmarks, ms.obs_lm[ms.obs_kf == k])
+            ms.add_observations(k, unseen[:3], rng.normal(size=(3, 3)))
+            older += 1
+            check()
+        if kf_id % 8 == 7:  # enough removals to compact
+            size = ms.obs_kf.size
+            while ms.obs_kf.size == size:
+                live = ms.observations
+                doomed = rng.choice(live, size=live.size // 4, replace=False)
+                ms.remove_observations(doomed)
+            compactions += 1
+            check()
+    doublings = sum(b > a for a, b in zip(capacities, capacities[1:]))
+    assert doublings >= 4 and folded and older >= 3 and compactions >= 2
+
+
 def test_ba_problem_selects_the_rows_of_the_old_scan():
     # the window's rows through the index, in the order the old isin and
     # lexsort over every row gave them, with a row written for an older
@@ -1325,16 +1375,31 @@ def reference_ba_blocks(problem):
     return Hpp, gp, Hll, gl, W
 
 
-@pytest.mark.parametrize("window", [[0, 1, 2], [1, 2], [2]])
-def test_ba_assembly_matches_a_per_observation_loop(window):
+@pytest.mark.parametrize(
+    "window, frozen, fixed",
+    [
+        pytest.param([0, 1, 2], False, 0, id="window0"),
+        pytest.param([1, 2], False, 0, id="window1"),
+        pytest.param([2], False, 0, id="window2"),
+        pytest.param([0, 1, 2], True, 0, id="normal-frozen"),
+        pytest.param([1, 2], False, 1, id="normal-keyframe-fixed"),
+        pytest.param([1, 2], True, 1, id="normal-keyframe-fixed-normal-frozen"),
+    ],
+)
+def test_ba_assembly_matches_a_per_observation_loop(window, frozen, fixed):
     # rows at the gauge pose, at a pose outside the window and at free
-    # poses, with the world normal among the variables
+    # poses, with the world normal among the variables or frozen; a fixed
+    # window keyframe with a normal row adds no pose block
     config = SolverConfig()
     ms = ba_test_map(config)
     ms.kf_normal[2], ms.kf_basis[2] = ms.kf_normal[1], ms.kf_basis[1]
+    ms.kf_fixed[fixed] = True
+    if frozen:
+        ms.normal_init_remaining = 0
     problem = _BAProblem(ms, window, config)
-    assert problem.nw_active
+    assert problem.nw_active != frozen
     assert np.any(problem.obs_free < 0) and np.any(problem.obs_free >= 0)
+    assert fixed not in problem.free_ids
 
     blocks = _ba_assemble(problem, *_ba_linearize(problem))
 
