@@ -355,12 +355,17 @@ class MapState:
     def remove_landmarks(self, rows):
         """Delete the landmarks at ``rows`` with their observations, then compact."""
         if rows.size:
-            obs_ids = self.observation_rows(self.landmarks[rows])
+            self._index()  # their rows in each run of the landmark order: id to id + 1
+            ids, keys, fold = self.landmarks[rows], self._lm_keys, self._lm_fold
+            ends = np.concatenate([keys[:fold].searchsorted((ids, ids + 1)),
+                                   fold + keys[fold:].searchsorted((ids, ids + 1))], 1)
+            obs_ids = np.concatenate([self._lm_rows[a:b] for a, b in zip(*ends.tolist())])
+            self._dead += np.count_nonzero(self.obs_kf[obs_ids] >= 0)
             self.obs_kf[obs_ids] = -1
-            self._dead += obs_ids.size
             keep = np.bincount(rows, minlength=self.landmarks.size) == 0
             self.landmarks = self.landmarks[keep]
-            self.lm_pos = self.lm_pos[keep]
+            # a 1-D mask over runs of three floats: a row mask costs 3x more
+            self.lm_pos = self.lm_pos.reshape(-1)[keep.repeat(3)].reshape(-1, 3)
             self.lm_misses = self.lm_misses[keep]
         if 2 * self._dead > self.obs_kf.size:
             live = self.obs_kf >= 0
@@ -423,13 +428,10 @@ class _Evaluation:
     r: np.ndarray  # (M, 3) whitened reprojection residuals, inf behind camera
     sq: np.ndarray  # (M,) whitened squared norms, inf behind the camera
     w: np.ndarray  # (M,) IRLS weights of the reprojection rows
-    rn: np.ndarray | tuple  # (N, 2) weighted normal residuals; tracking's as a pair
-    wn: np.ndarray | float  # (N,) IRLS weights of the normal rows; tracking's one
-    m: np.ndarray | list  # (N, 3) rotated world normals R n_hat; tracking's one
+    rn: np.ndarray  # (N, 2) weighted normal residuals
+    wn: np.ndarray  # (N,) IRLS weights of the normal rows
+    m: np.ndarray  # (N, 3) rotated world normals R n_hat
     cost: float  # Huber total, inf when any point is behind its camera
-    J_phi: list | None = None  # tracking's row: rotation Jacobian (2, 3),
-    Hn: list | None = None  # wn J_phi^T J_phi (3, 3) and
-    gn: list | None = None  # wn J_phi^T rn (3,), as float rows
 
 
 def _normal_rows(config, basis, frame_normals, M):
@@ -444,56 +446,64 @@ def _normal_rows(config, basis, frame_normals, M):
     return sB, (sB @ frame_normals[:, :, None])[..., 0], delta
 
 
-def _evaluate(K, config, pc, measured, normals=None, n_hat=None) -> _Evaluation:
-    """The robust objective at camera-frame points ``pc`` (M, 3).
-
-    Reprojection row i is ``pc[i]`` measured as ``measured[i]``; a row
-    behind its camera gets infinite residuals, so it costs inf and weighs 0.
-    ``normals`` adds the weighted tangent-plane factors of keyframes that
-    measured a normal against the unit world normal ``n_hat``: batched, it
-    is their world-to-camera rotations with :func:`_normal_rows`, and their
-    rows ``sB (R n_hat) - c`` follow the reprojection rows into one Huber
-    pass. The evaluation keeps each row's ``m = R n_hat``. A tracked frame
-    passes its one rotation, with its basis and normal as float triples,
-    and gets its row's Jacobian and normal terms too.
-    """
+def _reprojection_rows(K, config, pc, measured, out=None):
+    """``(inv_z, nc, r)`` of ``pc`` measured as ``measured``, r whitened into ``out``."""
     front = pc[:, 2] > 0.0
     behind = not front.all()
     # rows behind the camera stand in at (1, 1, 1), then read inf
     shown = np.where(front[:, None], pc, 1.0) if behind else pc
     inv_z, nc = normalized_coordinates(K, shown)
-    M, batched = len(pc), normals is not None and len(normals) == 4
-    r = nc * K.scale + K.offset
-    # batched normal rows follow the reprojection rows in one array
-    rows = np.empty((M + len(normals[0]), 3)) if batched else r
-    r = np.subtract(r, measured, out=rows[:M])
+    r = np.subtract(nc * K.scale + K.offset, measured, out=out)
     r /= config.sigma_px
     if behind:
         r[~front] = np.inf
-    m = rows[M:]  # no normal rows unless batched
-    if batched:
+    return inv_z, nc, r
+
+
+def _evaluate(K, config, pc, measured, normals=None, n_hat=None) -> _Evaluation:
+    """The robust objective at camera-frame points ``pc`` (M, 3), batched.
+
+    Reprojection row i is ``pc[i]`` measured as ``measured[i]``; a row
+    behind its camera gets infinite residuals, so it costs inf and weighs 0.
+    ``normals`` adds the weighted tangent-plane factors of keyframes that
+    measured a normal against the unit world normal ``n_hat``: their
+    world-to-camera rotations with :func:`_normal_rows`, whose rows
+    ``sB (R n_hat) - c`` follow the reprojection rows into one Huber pass,
+    each keeping its ``m = R n_hat``.
+    """
+    M = len(pc)
+    rows = np.empty((M + (0 if normals is None else len(normals[0])), 3))
+    inv_z, nc, r = _reprojection_rows(K, config, pc, measured, rows[:M])
+    m, delta = rows[M:], config.loss.huber_delta_repro
+    if normals is not None:
         rotations, sB, c, delta = normals
         m = rotations.dot(n_hat)
         np.matmul(sB, m[:, :, None], out=rows[M:, :, None])
         rows[M:] -= c
     sq = np.einsum("ij,ij->i", rows, rows)
-    rho, w = huber(np.sqrt(sq), delta if batched else config.loss.huber_delta_repro)
+    rho, w = huber(np.sqrt(sq), delta)
     cost = float(rho.sum())
-    if normals is None or batched:
-        return _Evaluation(pc, inv_z, nc, r, sq[:M], w[:M], rows[M:, :2], w[M:], m, cost)
-    rotations, basis, frame_normals = normals
-    s, delta_n = math.sqrt(config.loss.normal_weight), config.loss.huber_delta_normal
-    # one row in 3-vector floats, at m = R n_hat
-    mx, my, mz = m = (rotations @ n_hat).tolist()
-    d = [a - b for a, b in zip(m, frame_normals)]
-    rn = tuple(s * (a * d[0] + b * d[1] + c * d[2]) for a, b, c in basis)
-    rho_n, wn = huber(math.hypot(*rn), delta_n)
+    return _Evaluation(pc, inv_z, nc, r, sq[:M], w[:M], rows[M:, :2], w[M:], m, cost)
+
+
+def _track_evaluate(K, config, points, measured, normal, R, t):
+    """Tracking's state at pose ``(R, t)``: what its linearization reads. ``normal``
+    (sqrt(w), unit world normal, basis, frame normal) adds a float row (rn, wn, J)."""
+    inv_z, nc, r = _reprojection_rows(K, config, points @ R.T + t, measured)
+    sq = np.einsum("ij,ij->i", r, r)
+    rho, w = huber(np.sqrt(sq), config.loss.huber_delta_repro)
+    cost = float(rho.sum())
+    if normal is None:
+        return cost, R, t, sq, inv_z, nc, r, w, None
+    s, n_hat, ((a0, a1, a2), (b0, b1, b2)), (nx, ny, nz) = normal
+    mx, my, mz = (R @ n_hat).tolist()
+    dx, dy, dz = mx - nx, my - ny, mz - nz
+    rn = (s * (a0 * dx + a1 * dy + a2 * dz), s * (b0 * dx + b1 * dy + b2 * dz))
+    rho_n, wn = huber(math.hypot(*rn), config.loss.huber_delta_normal)
     # -sqrt(w) B skew(m), whose row i is sqrt(w) m x b_i
-    J = [(s * (my * c - mz * b), s * (mz * a - mx * c), s * (mx * b - my * a))
-         for a, b, c in basis]
-    Hn = [[wn * (a * x + b * y) for x, y in zip(*J)] for a, b in zip(*J)]
-    gn = [wn * (a * rn[0] + b * rn[1]) for a, b in zip(*J)]
-    return _Evaluation(pc, inv_z, nc, r, sq, w, rn, wn, m, cost + rho_n, J, Hn, gn)
+    J = ((s * (my * a2 - mz * a1), s * (mz * a0 - mx * a2), s * (mx * a1 - my * a0)),
+         (s * (my * b2 - mz * b1), s * (mz * b0 - mx * b2), s * (mx * b1 - my * b0)))
+    return cost + rho_n, R, t, sq, inv_z, nc, r, w, (rn, wn, J)
 
 
 def _predicted_decrease(g, d, h, lam) -> float:
@@ -515,8 +525,8 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
     LinAlgError is a failed solve). The solve has converged when ``h`` is
     shorter than ``step_tolerance`` or its :func:`_predicted_decrease` is
     below ``cost_tolerance`` times ``cost``. Otherwise ``trial(h)`` builds
-    the stepped state, a tuple ending in its :class:`_Evaluation`: a lower
-    cost is accepted and relaxes the damping, and any other raises it.
+    the stepped state, a tuple whose first item is its cost: a lower cost
+    is accepted and relaxes the damping, and any other raises it.
     Returns ``(lam, state, converged)``: ``state`` is the accepted trial,
     None when no step was taken (converged, or damping past its ceiling);
     an accepted step has converged if its relative decrease is below
@@ -534,7 +544,7 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
                 or _predicted_decrease(g, d, h, lam) < config.cost_tolerance * cost):
             return lam, None, True
         state = trial(h)
-        new_cost = state[-1].cost
+        new_cost = state[0]
         if new_cost < cost:
             rel = (cost - new_cost) / max(cost, 1e-300)
             lam = max(lam / config.damping_decrease, _DAMPING_FLOOR)
@@ -565,48 +575,48 @@ def track_frame(map_state: MapState, frame: FrameData, config: SolverConfig,
     lm_rows = lm_rows[mask]
     points = map_state.lm_pos[lm_rows]
     measured = frame.measurements[mask]
-    n_w = map_state.world_normal
-    use_normal = (config.normal_in_tracking and config.loss.normal_weight > 0.0
-                  and n_w is not None and frame.frame_normal is not None)
-    if use_normal:
-        basis, n_k = frame.tangent_basis.tolist(), frame.frame_normal.tolist()
-        n_w = n_w / math.sqrt(n_w @ n_w)
+    n_w, normal = map_state.world_normal, None
+    if (config.normal_in_tracking and config.loss.normal_weight > 0.0
+            and n_w is not None and frame.frame_normal is not None):
+        normal = (math.sqrt(config.loss.normal_weight), n_w / math.sqrt(n_w @ n_w),
+                  frame.tangent_basis.tolist(), frame.frame_normal.tolist())
 
-    def evaluate(R, t) -> _Evaluation:
-        normals = (R, basis, n_k) if use_normal else None
-        return _evaluate(K, config, points @ R.T + t, measured, normals, n_w)
-
-    # the pose is held as one (3, 3), (3,) pair while it is solved
+    # the pose is held as one (3, 3), (3,) pair in the state tuple
     R, t = constant_velocity_init(prev_pose, prev_prev_pose)
-    ev = evaluate(R, t)
-    if not np.isfinite(ev.cost):
+    cost, R, t, sq, inv_z, nc, r, w, row = _track_evaluate(K, config, points, measured,
+                                                           normal, R, t)
+    if not math.isfinite(cost):
         raise TrackingLost(frame.frame_id, "initial pose puts landmarks behind camera")
 
     def solve(lam):
-        return np.linalg.solve(H + np.diag(lam * d), -g)
+        damped = H.copy()
+        damped.ravel()[::7] += lam * d
+        return np.linalg.solve(damped, -g)
 
     def trial(h):
-        new_R, new_t = update_pose(h, R, t)
-        return new_R, new_t, evaluate(new_R, new_t)
+        return _track_evaluate(K, config, points, measured, normal, *update_pose(h, R, t))
 
     scale = K.scale / config.sigma_px  # joins the weights of the normalized Jacobian
     lam = config.initial_damping
     for _ in range(config.max_iterations):
-        J = reprojection_row_jacobians(ev.inv_z, ev.nc)[0].reshape(-1, 6)
-        ws = ev.w[:, None] * scale
+        J = reprojection_row_jacobians(inv_z, nc)[0].reshape(-1, 6)
+        ws = w[:, None] * scale
         H = J.T @ (J * (ws * scale).reshape(-1, 1))
-        g = J.T @ (ws * ev.r).ravel()
-        if use_normal:
-            H[3:, 3:] += ev.Hn
-            g[3:] += ev.gn
+        g = J.T @ (ws * r).ravel()
+        if row is not None:  # wn J^T J and wn J^T rn on the rotation block
+            (r0, r1), wn, ((a0, a1, a2), (b0, b1, b2)) = row
+            cols = (a0, b0), (a1, b1), (a2, b2)
+            H[3:, 3:] += [[wn * (a * a0 + b * b0), wn * (a * a1 + b * b1),
+                           wn * (a * a2 + b * b2)] for a, b in cols]
+            g[3:] += [wn * (a * r0 + b * r1) for a, b in cols]
         d = H.diagonal()
-        lam, state, converged = _damped_step(config, lam, ev.cost, g, d, solve, trial)
+        lam, state, converged = _damped_step(config, lam, cost, g, d, solve, trial)
         if state is not None:
-            R, t, ev = state
+            cost, R, t, sq, inv_z, nc, r, w, row = state
         if converged or state is None:
             break
 
-    inlier_mask = ev.sq <= config.chi2_threshold
+    inlier_mask = sq <= config.chi2_threshold
     n_inliers = int(np.count_nonzero(inlier_mask))
     if n_inliers < config.min_track_observations:
         raise TrackingLost(frame.frame_id, f"only {n_inliers} inliers after optimization")
@@ -615,9 +625,9 @@ def track_frame(map_state: MapState, frame: FrameData, config: SolverConfig,
         raise TrackingLost(frame.frame_id, f"inlier fraction {fraction:.2f} below "
                            f"{config.min_inlier_fraction:.2f}")
     logger.debug("frame %d: tracked with %d/%d inliers, cost %.6g",
-                 frame.frame_id, n_inliers, matched_ids.size, ev.cost)
+                 frame.frame_id, n_inliers, matched_ids.size, cost)
     return TrackResult(
-        R=R, t=t, matched=int(matched_ids.size), cost=ev.cost,
+        R=R, t=t, matched=int(matched_ids.size), cost=cost,
         inlier_ids=matched_ids[inlier_mask], outlier_ids=matched_ids[~inlier_mask],
         inlier_rows=lm_rows[inlier_mask], outlier_rows=lm_rows[~inlier_mask],
     )
@@ -1001,7 +1011,7 @@ def local_bundle_adjustment(map_state: MapState, current_kf_id: int,
         new_points = problem.points + dl[:L]
         new_nw = problem.n_w + dl[L] if problem.nw_active else problem.n_w
         new_ev = problem.evaluate(new_R, new_t, new_points, new_nw)
-        return new_R, new_t, new_points, new_nw, new_ev
+        return new_ev.cost, new_R, new_t, new_points, new_nw, new_ev
 
     # behind-camera observations come out with infinite residuals, so this
     # pass also clears any state the solver could not even linearize
@@ -1017,7 +1027,7 @@ def local_bundle_adjustment(map_state: MapState, current_kf_id: int,
         cost = problem.ev.cost
         lam, state, converged = _damped_step(config, lam, cost, g, d, solve, trial)
         if state is not None:
-            problem.R, problem.t, problem.points, problem.n_w, problem.ev = state
+            _, problem.R, problem.t, problem.points, problem.n_w, problem.ev = state
             accepted += 1
             logger.debug("ba[%d]: iter %d accepted cost %.9g",
                          current_kf_id, accepted, problem.ev.cost)

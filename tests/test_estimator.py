@@ -559,6 +559,51 @@ def test_track_frame_matches_reference_tracker_on_noisy_strip(monkeypatch):
     assert all(has_normal for _, has_normal in compared)
 
 
+def test_track_retry_from_the_previous_pose_matches_reference_tracker(monkeypatch):
+    # run_sequence retries a frame that failed to track from the previous
+    # pose alone: at frame 20 of a noisy run the first attempt starts from a
+    # motion history that extrapolates the camera 1 km forward, past every
+    # landmark, and must raise with its message under warnings as errors; the
+    # retry is repeated with the reference tracker
+    seq = generate_sequence(small_scene(outlier_rate=0.2))
+    config = SolverConfig()
+    original = estimator.track_frame
+    attempts = []
+
+    def tampered(map_state, frame, config, prev_pose=None, prev_prev_pose=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if frame.frame_id != 20:
+                return original(map_state, frame, config, prev_pose, prev_prev_pose)
+            attempts.append(prev_prev_pose)
+            if prev_prev_pose is not None:
+                far = PoseSE3(prev_pose.R, prev_pose.t + np.array([0.0, 0.0, 1000.0]))
+                with pytest.raises(TrackingLost) as lost:
+                    reference_track_frame(map_state, frame, config, prev_pose, far)
+                assert lost.value.reason == "initial pose puts landmarks behind camera"
+                with pytest.raises(TrackingLost) as lost:
+                    original(map_state, frame, config, prev_pose, far)
+                assert lost.value.frame_id == 20
+                assert lost.value.reason == "initial pose puts landmarks behind camera"
+                raise lost.value
+            pose, inlier_ids, outlier_ids, cost = reference_track_frame(
+                map_state, frame, config, prev_pose, None
+            )
+            result = original(map_state, frame, config, prev_pose, None)
+        np.testing.assert_array_equal(result.inlier_ids, inlier_ids)
+        np.testing.assert_array_equal(result.outlier_ids, outlier_ids)
+        np.testing.assert_allclose(result.R, pose.R, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.t, pose.t, rtol=0, atol=1e-9)
+        assert result.cost == pytest.approx(cost, rel=1e-12)
+        return result
+
+    monkeypatch.setattr(estimator, "track_frame", tampered)
+    result = run_sequence(seq.frames, seq.intrinsics, config)
+
+    assert len(attempts) == 2 and attempts[0] is not None and attempts[1] is None
+    assert result.records[20].inliers > 0  # the retry tracked, it did not coast
+
+
 def test_tracker_normal_row_matches_the_batched_factor():
     # a tracked frame's one normal row is formed in 3-vector floats; the
     # batched factor that bundle adjustment uses is the reference for the
@@ -576,21 +621,22 @@ def test_tracker_normal_row_matches_the_batched_factor():
         # frame normals from exactly consistent to far off the rotated one
         n_k = unit(R @ n_hat + rng.normal(size=3) * 10.0 ** rng.uniform(-6.0, 0.0))
         basis = make_tangent_basis(n_k)
-        row = (R, basis.tolist(), n_k.tolist())
-        ev = estimator._evaluate(K, config, no_rows, no_rows, row, n_hat.tolist())
+        normal = (sqrt_w, n_hat, basis.tolist(), n_k.tolist())
+        state = estimator._track_evaluate(K, config, no_rows, no_rows, normal, R, np.zeros(3))
+        cost, (rn, wn, J_phi) = state[0], state[-1]
         factor = estimator._normal_rows(config, basis[None], n_k[None], 0)
         batched = estimator._evaluate(K, config, no_rows, no_rows, (R[None],) + factor, n_hat)
 
         ref = sqrt_w * normal_residual(basis, R, n_hat, n_k)
         ref_rho, ref_w = huber(np.linalg.norm(ref), delta)
-        np.testing.assert_allclose(ev.rn, ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ev.rn, batched.rn[0], rtol=0, atol=1e-12)
-        assert ev.cost == pytest.approx(ref_rho, rel=1e-12, abs=1e-12)
-        assert ev.cost == pytest.approx(batched.cost, rel=1e-12, abs=1e-12)
-        assert ev.wn == pytest.approx(ref_w, rel=1e-12)
-        assert ev.wn == pytest.approx(batched.wn[0], rel=1e-12)
+        np.testing.assert_allclose(rn, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rn, batched.rn[0], rtol=0, atol=1e-12)
+        assert cost == pytest.approx(ref_rho, rel=1e-12, abs=1e-12)
+        assert cost == pytest.approx(batched.cost, rel=1e-12, abs=1e-12)
+        assert wn == pytest.approx(ref_w, rel=1e-12)
+        assert wn == pytest.approx(batched.wn[0], rel=1e-12)
         ref_J = sqrt_w * normal_pose_jacobian(basis, R, n_hat)
-        np.testing.assert_allclose(ev.J_phi, ref_J, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(J_phi, ref_J, rtol=0, atol=1e-12)
         # the rotation Jacobian against central differences of the residual
         # under a left-multiplied rotation
         eps = 1e-6
@@ -601,9 +647,9 @@ def test_tracker_normal_row_matches_the_batched_factor():
                 for e in np.eye(3)
             ]
         ) * (sqrt_w / (2.0 * eps))
-        np.testing.assert_allclose(ev.J_phi, fd, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(J_phi, fd, rtol=0, atol=1e-6)
         branches.add(abs(n_k[0]) > 0.9)
-        knees.add(ev.wn < 1.0)
+        knees.add(wn < 1.0)
     assert branches == {True, False}
     assert knees == {True, False}
 
@@ -675,14 +721,16 @@ def test_tracking_normal_equations_match_the_dense_product(
     config = SolverConfig(normal_in_tracking=normal_in_tracking)
     K_run = seq.intrinsics
     evaluations = []
-    original_evaluate = estimator._evaluate
+    original_evaluate = estimator._track_evaluate
     original_step = estimator._damped_step
     original_solve = np.linalg.solve
     checked = []
 
-    def recording_evaluate(*args, **kwargs):
-        evaluations.append(original_evaluate(*args, **kwargs))
-        return evaluations[-1]
+    def recording_evaluate(K, config, points, measured, normal, R, t):
+        state = original_evaluate(K, config, points, measured, normal, R, t)
+        # the state's cost, its camera-frame points, weights, residuals and row
+        evaluations.append((state[0], points @ R.T + t, state[7], state[6], state[8]))
+        return state
 
     def checking_step(config, lam, cost, g, d, solve, trial):
         if np.ndim(g) == 1 and g.size == 6:  # a tracking step, not BA's
@@ -696,17 +744,18 @@ def test_tracking_normal_equations_match_the_dense_product(
             solve(0.0)  # the undamped system is H itself
             monkeypatch.setattr(np.linalg, "solve", original_solve)
             H = systems[0]
-            ev = next(e for e in reversed(evaluations) if e.cost == cost)
-            Jp, _ = reprojection_jacobians(K_run, (np.eye(3), np.zeros(3)), ev.pc, pc=ev.pc)
+            _, pc, w, r, row = next(e for e in reversed(evaluations) if e[0] == cost)
+            Jp, _ = reprojection_jacobians(K_run, (np.eye(3), np.zeros(3)), pc, pc=pc)
             J = Jp.reshape(-1, 6) / config.sigma_px
-            W = np.repeat(ev.w, 3)[:, None]
-            r = ev.r.reshape(-1, 1)
-            if ev.J_phi is not None:  # the normal row, on the rotation columns
+            W = np.repeat(w, 3)[:, None]
+            r = r.reshape(-1, 1)
+            if row is not None:  # the normal row, on the rotation columns
+                rn, wn, J_phi = row
                 Jn = np.zeros((2, 6))
-                Jn[:, 3:] = ev.J_phi
+                Jn[:, 3:] = J_phi
                 J = np.vstack([J, Jn])
-                W = np.vstack([W, [[ev.wn], [ev.wn]]])
-                r = np.vstack([r, np.reshape(ev.rn, (2, 1))])
+                W = np.vstack([W, [[wn], [wn]]])
+                r = np.vstack([r, np.reshape(rn, (2, 1))])
             H_ref, g_ref = J.T @ (W * J), (J.T @ (W * r))[:, 0]
             # relative to the size of the summed terms, which can cancel
             H_tol = 1e-12 * (np.abs(J).T @ (W * np.abs(J)))
@@ -714,10 +763,10 @@ def test_tracking_normal_equations_match_the_dense_product(
             assert np.all(np.abs(H - H_ref) <= H_tol)
             assert np.all(np.abs(g - g_ref) <= g_tol)
             np.testing.assert_array_equal(d, H.diagonal())
-            checked.append(ev.J_phi is not None)
+            checked.append(row is not None)
         return original_step(config, lam, cost, g, d, solve, trial)
 
-    monkeypatch.setattr(estimator, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(estimator, "_track_evaluate", recording_evaluate)
     monkeypatch.setattr(estimator, "_damped_step", checking_step)
     run_sequence(seq.frames, seq.intrinsics, config)
     assert len(checked) >= 2 * (len(seq.frames) - 1)
@@ -745,19 +794,19 @@ def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
     frame = FrameData(1, 1.0, np.arange(31), meas)
 
     costs, damped = [], []
-    original_evaluate = estimator._evaluate
+    original_evaluate = estimator._track_evaluate
     original_solve = np.linalg.solve
 
-    def recording_evaluate(*args, **kwargs):
-        ev = original_evaluate(*args, **kwargs)
-        costs.append(ev.cost)
-        return ev
+    def recording_evaluate(*args):
+        state = original_evaluate(*args)
+        costs.append(state[0])
+        return state
 
     def recording_solve(a, b):
         damped.append(np.array(a))
         return original_solve(a, b)
 
-    monkeypatch.setattr(estimator, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(estimator, "_track_evaluate", recording_evaluate)
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -799,13 +848,17 @@ def test_default_stopping_rule_halves_the_evaluations(monkeypatch, outlier_rate)
     # gain a relevant digit; a tenth-digit tolerance may not track better
     seq = generate_sequence(small_scene(outlier_rate=outlier_rate))
     calls = []
-    original = estimator._evaluate
 
-    def counting(*args, **kwargs):
-        calls[-1] += 1
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls[-1] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "_evaluate", counting)
+        return counted
+
+    # bundle adjustment's evaluations and tracking's
+    for name in ("_evaluate", "_track_evaluate"):
+        monkeypatch.setattr(estimator, name, counting(getattr(estimator, name)))
     errors = []
     for config in (SolverConfig(cost_tolerance=1e-10), SolverConfig()):
         calls.append(0)
