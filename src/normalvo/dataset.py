@@ -21,12 +21,17 @@ the values bit for bit.
 :func:`load_dataset` reads the three CSV files in one of two passes. The
 fast pass parses each file with one ``np.loadtxt`` and makes every check
 as an array predicate. It takes only plain files: ASCII, the exact
-header, no quote, NUL or line break other than ``\\n``, and it turns
-numpy's warnings into failures. The per-line pass reads each field with
-``int`` or ``float`` in file order. It runs when the fast pass rejects
-anything, and it alone builds the result or raises the first error, so
-every message names the file and line as before. On any file both
-accept, the two build the same arrays, bit for bit.
+header, no quote, NUL or line break other than ``\\n``, ``\\r\\n`` or
+``\\r``, and it turns numpy's warnings into failures. It tests this on the
+file's bytes in 1 MiB chunks, never holding a decoded copy. It copies the
+columns it keeps out of the parsed table and frees the table before the
+range and id checks, so no frame is built beside it. The per-line pass
+reads each field with ``int`` or ``float`` in file order. It runs when
+the fast pass rejects anything, and it alone builds the result or raises
+the first error, so every message names the file and line as before. On
+any file both accept, the two build the same arrays, bit for bit. Rows
+in frame order, as :func:`write_dataset` writes them, are split by frame
+where they lie; only other files are sorted, stably, first.
 """
 
 from __future__ import annotations
@@ -260,20 +265,24 @@ def load_intrinsics(path) -> Intrinsics:
 _LANDMARKS = ("landmarks.csv", ("id", "x", "y", "z"))
 _OBS = ("obs.csv", ("frame_id", "landmark_id", "uL", "v", "uR", "is_outlier"))
 _NORMALS = ("normals.csv", ("frame_id", "nx", "ny", "nz"))
-# characters that the per-line pass reads differently from np.loadtxt: a
+# bytes that the per-line pass reads differently from np.loadtxt: a
 # quote, NUL, and the line breaks of str.splitlines other than "\n"
-_NOT_PLAIN = '"\0\v\f\x1c\x1d\x1e'
+_NOT_PLAIN = b'"\0\v\f\x1c\x1d\x1e'
+_CHUNK = 1 << 20  # bytes the plainness check holds at a time
 
 
 def _loadtxt(d: Path, spec, dtype) -> np.ndarray:
     """The data rows of a plain CSV file in one np.loadtxt call; ValueError
     for a file that is not plain or not parsed whole."""
     name, header = spec
-    text = (d / name).read_text(encoding="utf-8")
-    plain = text.isascii() and not any(c in text for c in _NOT_PLAIN)
-    if not plain or text.partition("\n")[0] != ",".join(header):
+    head = ",".join(header).encode()
+    with open(d / name, "rb") as fh:
+        # the first line ends at "\r" or "\n", as universal newlines end it
+        plain = fh.read(len(head) + 1) in (head, head + b"\n", head + b"\r")
+        while plain and (chunk := fh.read(_CHUNK)):
+            plain = chunk.isascii() and not any(c in chunk for c in _NOT_PLAIN)
+    if not plain:
         raise ValueError(f"{name} is not plain")
-    del text  # numpy reads the file itself, in chunks
     return np.loadtxt(
         d / name, dtype, delimiter=",", comments=None, skiprows=1, ndmin=1,
         encoding="utf-8",
@@ -292,26 +301,29 @@ def _read_tables(d: Path, frame_count: int):
             obs = _loadtxt(
                 d, _OBS, [("frame", "i8"), ("lm", "i8"), ("uvu", "f8", 3), ("bad", "U2")]
             )
+            bad = obs["bad"] == "1"
+            flags_ok = np.all(bad | (obs["bad"] == "0"))
+            # the kept columns, copied out so that the table is freed before the
+            # other checks
+            frame, ids, uvu = (obs[f].copy() for f in ("frame", "lm", "uvu"))
+            del obs
             nrm = _loadtxt(d, _NORMALS, [("frame", "i8"), ("n", "f8", 3)])
             known = np.sort(lm["id"])
-            frame_ids = np.concatenate([obs["frame"], nrm["frame"]])
-            at = np.searchsorted(known, obs["lm"]).clip(max=known.size - 1)
+            frame_ids = np.concatenate([frame, nrm["frame"]])
+            at = np.searchsorted(known, ids).clip(max=known.size - 1)
             ok = (
                 np.all(known[1:] != known[:-1])
                 and np.all((frame_ids >= 0) & (frame_ids < frame_count))
                 and np.bincount(nrm["frame"]).max() <= 1
-                and np.all(known[at] == obs["lm"])
-                and np.all(obs["uvu"][:, 0] > obs["uvu"][:, 2])
-                and np.all((obs["bad"] == "0") | (obs["bad"] == "1"))
+                and np.all(known[at] == ids)
+                and np.all(uvu[:, 0] > uvu[:, 2])
+                and flags_ok
             )
     except (OSError, ValueError, Warning):
         return None
     if not ok:
         return None
-    return (
-        lm["id"].copy(), lm["pos"].copy(), obs["frame"], obs["lm"], obs["uvu"],
-        obs["bad"] == "1", nrm["frame"], nrm["n"],
-    )
+    return lm["id"].copy(), lm["pos"].copy(), frame, ids, uvu, bad, nrm["frame"], nrm["n"]
 
 
 def _read_tables_per_line(d: Path, frame_count: int):
@@ -400,12 +412,13 @@ def load_dataset(dirpath) -> Dataset:
     tables = _read_tables(d, frame_count) or _read_tables_per_line(d, frame_count)
     lm_ids, lm_pos, obs_frame, obs_lm, obs_uvu, obs_bad, normal_frame, normal_vec = tables
 
-    # group the observations by frame, file order within a frame
-    order = np.argsort(obs_frame, kind="stable")
-    cuts = np.searchsorted(obs_frame[order], np.arange(1, frame_count))
-    ids = np.split(obs_lm[order], cuts)
-    meas = np.split(obs_uvu[order], cuts)
-    labels = np.split(obs_bad[order], cuts)
+    # group the observations by frame, file order within a frame; the rows
+    # are sorted only when not in frame order, as write_dataset writes them
+    if np.any(obs_frame[1:] < obs_frame[:-1]):
+        order = np.argsort(obs_frame, kind="stable")
+        obs_frame, obs_lm, obs_uvu, obs_bad = (a[order] for a in tables[2:6])
+    cuts = np.searchsorted(obs_frame, np.arange(1, frame_count))
+    ids, meas, labels = (np.split(a, cuts) for a in (obs_lm, obs_uvu, obs_bad))
     normals = [None] * frame_count
     for fid, n in zip(normal_frame.tolist(), normal_vec):
         normals[fid] = n

@@ -371,7 +371,7 @@ class MapState:
             live = self.obs_kf >= 0
             self.obs_kf = self.obs_kf[live]
             self.obs_lm = self.obs_lm[live]
-            self.obs_uvu = self.obs_uvu[live]
+            self.obs_uvu = self.obs_uvu.compress(live, axis=0)
             self._dead, self._stale = 0, True
 
     def covisibility(self, kf_id: int) -> np.ndarray:
@@ -573,8 +573,8 @@ def track_frame(map_state: MapState, frame: FrameData, config: SolverConfig,
         raise TrackingLost(frame.frame_id, f"{matched_ids.size} mapped observations, "
                            f"need {config.min_track_observations}")
     lm_rows = lm_rows[mask]
-    points = map_state.lm_pos[lm_rows]
-    measured = frame.measurements[mask]
+    points = map_state.lm_pos.take(lm_rows, axis=0)
+    measured = frame.measurements.compress(mask, axis=0)
     n_w, normal = map_state.world_normal, None
     if (config.normal_in_tracking and config.loss.normal_weight > 0.0
             and n_w is not None and frame.frame_normal is not None):
@@ -759,7 +759,7 @@ class _BAProblem:
         np.not_equal(seen[1:], seen[:-1], out=first[1:])
         self.lm_ids = seen[first]
         self.obs_ids = map_state.observation_rows(self.lm_ids)
-        self.obs_uvu = map_state.obs_uvu[self.obs_ids]
+        self.obs_uvu = map_state.obs_uvu.take(self.obs_ids, axis=0)
         lms, kfs = obs_lm[self.obs_ids], obs_kf[self.obs_ids]
         self.obs_lm = self.lm_ids.searchsorted(lms)
 
@@ -792,7 +792,7 @@ class _BAProblem:
         self.t = map_state.kf_t[self.all_kf_ids]
         # every landmark with a live observation is mapped
         lm_rows = map_state.landmarks.searchsorted(self.lm_ids)
-        self.points = map_state.lm_pos[lm_rows]
+        self.points = map_state.lm_pos.take(lm_rows, axis=0)
         n_w = map_state.world_normal
         self.n_w = None if n_w is None else n_w.copy()
 

@@ -2,6 +2,7 @@
 exactly what the per-line reader builds, and on any file it does not take,
 leave the result or the error to the per-line reader."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -168,10 +169,12 @@ def _interleaved(text):
     return "\n".join([head] + [next(queues[keys[i]]) for i in order]) + "\n"
 
 
-@pytest.mark.parametrize(
-    "variant", [_blank_lines, _crlf, _no_final_newline, _plus_sign, _padded, _interleaved]
-)
-@pytest.mark.parametrize("name", ["landmarks.csv", "obs.csv", "normals.csv"])
+VARIANTS = [_blank_lines, _crlf, _no_final_newline, _plus_sign, _padded, _interleaved]
+CSV_NAMES = ["landmarks.csv", "obs.csv", "normals.csv"]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", CSV_NAMES)
 def test_text_variants_both_passes_accept(base_dir, tmp_path, monkeypatch, name, variant):
     d = _copy(base_dir, tmp_path / "d")
     (d / name).write_bytes(variant((d / name).read_text()).encode())
@@ -199,13 +202,14 @@ def _replace(name, old, new):
     return edit
 
 
-def _row(name, edit_fields):
-    """Rewrite the first data row of ``name`` field by field."""
+def _row(name, edit_fields, at=1):
+    """Rewrite line ``at`` of ``name`` (the first data row by default; -2,
+    the last, ahead of the final newline) field by field."""
     def edit(d):
         lines = (d / name).read_text().split("\n")
-        fields = lines[1].split(",")
+        fields = lines[at].split(",")
         edit_fields(fields)
-        lines[1] = ",".join(fields)
+        lines[at] = ",".join(fields)
         (d / name).write_text("\n".join(lines))
     return edit
 
@@ -292,6 +296,10 @@ MALFORMED = {
     "NUL in a flag": _obs_row(_set(5, "1\0")),
     "form feed in a row": _obs_row(_set(5, "1\f")),
     "non-ASCII digit": _obs_row(_set(0, "١")),
+    # in the last row, which a plainness check in chunks reads last
+    "quote in the last row": _row("obs.csv", lambda f: f.__setitem__(1, f'"{f[1]}"'), at=-2),
+    "NUL in the last row": _row("obs.csv", _set(5, "1\0"), at=-2),
+    "non-ASCII byte in the last row": _row("obs.csv", lambda f: f.__setitem__(2, f[2] + "\xa0"), at=-2),
     "id past int64": _append("obs.csv", "99999999999999999999,0,100.0,100.0,90.0,0"),
     "landmark id past int64": _append("landmarks.csv", "99999999999999999999,1.0,2.0,3.0"),
     "empty obs.csv": lambda d: (d / "obs.csv").write_text(""),
@@ -305,6 +313,67 @@ def test_per_line_pass_decides_every_other_file(base_dir, tmp_path, monkeypatch,
     assert_same_outcome(d, monkeypatch)
     # and the outcome is a dataset or a typed data error, never a crash
     assert isinstance(_outcome(d), (dataset.Dataset, DataFormatError))
+
+
+# --- the plainness check in chunks of a few bytes: every file above spans
+# hundreds of them, where the default chunk holds the whole file ---
+
+SMALL_CHUNK = 7
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(dataset, "_CHUNK", SMALL_CHUNK)
+
+
+def test_simulated_scenes_in_small_chunks(scene_dir, monkeypatch, small_chunks):
+    test_fast_pass_equals_per_line_pass_on_simulated_scenes(scene_dir, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", CSV_NAMES)
+def test_text_variants_in_small_chunks(base_dir, tmp_path, monkeypatch, small_chunks, name, variant):
+    test_text_variants_both_passes_accept(base_dir, tmp_path, monkeypatch, name, variant)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_files_in_small_chunks(base_dir, tmp_path, monkeypatch, small_chunks, case):
+    test_per_line_pass_decides_every_other_file(base_dir, tmp_path, monkeypatch, case)
+
+
+def test_crlf_split_across_a_chunk_boundary(base_dir, tmp_path, monkeypatch):
+    d = _copy(base_dir, tmp_path / "d")
+    text = _crlf((d / "obs.csv").read_text()).encode()
+    (d / "obs.csv").write_bytes(text)
+    # the header line is read with its "\r"; one chunk then ends on the
+    # final "\r", and the next holds only the final "\n"
+    start = text.index(b"\r") + 1
+    monkeypatch.setattr(dataset, "_CHUNK", len(text) - 1 - start)
+    assert _fast_takes(d)
+    assert_same_outcome(d, monkeypatch)
+    assert_same_dataset(load_dataset(d), load_dataset(base_dir))
+
+
+def test_load_peak_memory_is_bounded_by_the_file(tmp_path):
+    """load_dataset holds no decoded copy of obs.csv and no parsed table
+    beside the columns it keeps: its traced peak stays well below twice the
+    file's size (a decoded copy beside the read bytes alone is twice)."""
+    scene = SceneConfig(
+        landmark_count=2400, extent_x=30.0, extent_y=21.0, trajectory_shape="line",
+        trajectory_length=24.0, frame_rate=60.0, seed=4,
+    )
+    write_dataset(tmp_path, generate_sequence(scene), RunConfig(scene=scene))
+    size = (tmp_path / "obs.csv").stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        load_dataset(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * size
 
 
 def test_malformed_messages_name_file_and_line(base_dir, tmp_path):
