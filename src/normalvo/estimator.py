@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .evaluation import Trajectory
 from .factors import (CHI2_95_3DOF, NORMAL_UNIT_TOL, RobustLossConfig, huber,
@@ -515,6 +516,14 @@ def _predicted_decrease(g, d, h, lam) -> float:
     return float(lam * ((h * d) @ h) - g @ h)
 
 
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` for a square float ``a`` and a vector ``b``:
+    the same LAPACK gesv gufunc, without the wrapper. A singular system
+    comes back as NaN, not as a LinAlgError, and warns of nothing."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _damped_step(config, lam, cost, g, d, solve, trial):
     """One Levenberg-Marquardt step (Madsen, Nielsen and Tingleff, "Methods
     for Non-Linear Least Squares Problems", 2004), the only damping loop of
@@ -522,7 +531,8 @@ def _damped_step(config, lam, cost, g, d, solve, trial):
     ``d`` at ``cost``.
 
     The damping rises until ``solve(lam)`` returns a finite step ``h`` (a
-    LinAlgError is a failed solve). The solve has converged when ``h`` is
+    singular pose system solves to NaN in :func:`_solve`, and a singular
+    landmark block raises LinAlgError). The solve has converged when ``h`` is
     shorter than ``step_tolerance`` or its :func:`_predicted_decrease` is
     below ``cost_tolerance`` times ``cost``. Otherwise ``trial(h)`` builds
     the stepped state, a tuple whose first item is its cost: a lower cost
@@ -591,7 +601,7 @@ def track_frame(map_state: MapState, frame: FrameData, config: SolverConfig,
     def solve(lam):
         damped = H.copy()
         damped.ravel()[::7] += lam * d
-        return np.linalg.solve(damped, -g)
+        return _solve(damped, -g)
 
     def trial(h):
         return _track_evaluate(K, config, points, measured, normal, *update_pose(h, R, t))
@@ -951,7 +961,7 @@ def _ba_solve(Hpp, gp, Hll, gl, W, lam):
     diag = np.arange(P)
     Hred.reshape(P, 6, P, 6)[diag, :, diag, :] += Hpp_d
     gred = gp.ravel() - WHinv @ gl.ravel()
-    dp = np.linalg.solve(Hred, -gred).reshape(P, 6)
+    dp = _solve(Hred, -gred).reshape(P, 6)
     rhs = gl + (W.T @ dp.ravel()).reshape(Lb, 3)
     dl = -np.einsum("lab,lb->la", Hll_inv, rhs)
     return dp, dl

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import logging
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from normalvo import estimator
+from normalvo.dataset import save_trajectory
 from normalvo.estimator import (
     FrameData,
     MapState,
@@ -723,7 +725,7 @@ def test_tracking_normal_equations_match_the_dense_product(
     evaluations = []
     original_evaluate = estimator._track_evaluate
     original_step = estimator._damped_step
-    original_solve = np.linalg.solve
+    original_solve = estimator._solve
     checked = []
 
     def recording_evaluate(K, config, points, measured, normal, R, t):
@@ -740,9 +742,9 @@ def test_tracking_normal_equations_match_the_dense_product(
                 systems.append(np.array(a))
                 return original_solve(a, b)
 
-            monkeypatch.setattr(np.linalg, "solve", capture)
+            monkeypatch.setattr(estimator, "_solve", capture)
             solve(0.0)  # the undamped system is H itself
-            monkeypatch.setattr(np.linalg, "solve", original_solve)
+            monkeypatch.setattr(estimator, "_solve", original_solve)
             H = systems[0]
             _, pc, w, r, row = next(e for e in reversed(evaluations) if e[0] == cost)
             Jp, _ = reprojection_jacobians(K_run, (np.eye(3), np.zeros(3)), pc, pc=pc)
@@ -795,7 +797,7 @@ def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
 
     costs, damped = [], []
     original_evaluate = estimator._track_evaluate
-    original_solve = np.linalg.solve
+    original_solve = estimator._solve
 
     def recording_evaluate(*args):
         state = original_evaluate(*args)
@@ -807,7 +809,7 @@ def test_track_trial_step_past_a_close_landmark_is_rejected(monkeypatch):
         return original_solve(a, b)
 
     monkeypatch.setattr(estimator, "_track_evaluate", recording_evaluate)
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(estimator, "_solve", recording_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -883,7 +885,7 @@ def test_track_at_the_damping_ceiling_keeps_its_start_pose(monkeypatch):
         tried.append(a)
         return np.full(np.shape(b), np.nan)
 
-    monkeypatch.setattr(np.linalg, "solve", non_finite)
+    monkeypatch.setattr(estimator, "_solve", non_finite)
     result = track_frame(ms, frame, config, prev_pose=w2c)
 
     # one solve per damping value from initial_damping up to the ceiling
@@ -901,9 +903,9 @@ def test_track_at_the_damping_ceiling_keeps_its_start_pose(monkeypatch):
 
 
 def test_track_retries_a_singular_solve_with_more_damping(monkeypatch):
-    # a solve that raises LinAlgError has failed: the same linearization is
-    # solved again at damping_increase times the damping, and tracking goes
-    # on to the frame's pose
+    # a singular pose system solves to NaN, a failed solve: the same
+    # linearization is solved again at damping_increase times the damping,
+    # and tracking goes on to the frame's pose
     config = SolverConfig()
     rng = np.random.default_rng(17)
     points = scatter_points(rng, 40)
@@ -912,15 +914,15 @@ def test_track_retries_a_singular_solve_with_more_damping(monkeypatch):
     frame = frame_at(w2c, points, frame_id=3)
     start = PoseSE3(w2c.R, w2c.t + np.array([0.05, -0.02, 0.03]))
     solves = []
-    original_solve = np.linalg.solve
+    original_solve = estimator._solve
 
     def singular_once(a, b):
         solves.append((np.array(a), np.array(b)))
         if len(solves) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(np.shape(b), np.nan)
         return original_solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    monkeypatch.setattr(estimator, "_solve", singular_once)
     result = track_frame(ms, frame, config, prev_pose=start)
 
     (a0, b0), (a1, b1) = solves[:2]
@@ -939,6 +941,69 @@ def test_track_retries_a_singular_solve_with_more_damping(monkeypatch):
     np.testing.assert_allclose(result.R, w2c.R, rtol=0, atol=1e-6)
     np.testing.assert_allclose(result.t, w2c.t, rtol=0, atol=1e-6)
     assert result.inlier_ids.size == 40
+
+
+def test_solve_equals_numpy_solve_bit_for_bit():
+    # the helper runs the LAPACK gufunc behind np.linalg.solve on the same
+    # arrays, so the two agree to the bit
+    rng = np.random.default_rng(32)
+    for _ in range(1000):
+        n = int(rng.integers(1, 31))
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        b = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 6)
+        assert estimator._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_solve_equals_numpy_solve_on_the_damped_systems(monkeypatch):
+    # every damped system of a short run, tracking's and bundle adjustment's
+    seq = generate_sequence(small_scene(outlier_rate=0.2, trajectory_length=1.5))
+    systems = {"track": [], "ba": []}
+    solver = ["track"]
+    original_solve, original_ba_solve = estimator._solve, estimator._ba_solve
+
+    def recording_solve(a, b):
+        systems[solver[0]].append((np.array(a), np.array(b)))
+        return original_solve(a, b)
+
+    def recording_ba_solve(*args):
+        solver[0] = "ba"
+        try:
+            return original_ba_solve(*args)
+        finally:
+            solver[0] = "track"
+
+    monkeypatch.setattr(estimator, "_solve", recording_solve)
+    monkeypatch.setattr(estimator, "_ba_solve", recording_ba_solve)
+    run_sequence(seq.frames, seq.intrinsics, SolverConfig())
+    assert len(systems["track"]) >= 2 * (len(seq.frames) - 1)
+    assert len(systems["ba"]) > 0
+    assert any(len(b) > 6 for _, b in systems["ba"])  # several free poses
+    for a, b in systems["track"] + systems["ba"]:
+        assert original_solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+@pytest.mark.parametrize("system", ["singular", "nan", "inf"])
+def test_solve_of_a_failed_system_is_non_finite_and_silent(system):
+    # a parameter no row constrains leaves a zero row and column, exactly
+    # singular at any damping: np.linalg.solve raises LinAlgError there,
+    # the helper returns NaN; a non-finite system solves to a non-finite
+    # step. Neither warns, whatever the caller's floating-point error state
+    rng = np.random.default_rng(9)
+    J = rng.normal(size=(20, 6))
+    J[:, 5] = 0.0
+    a = J.T @ J + 1e-4 * np.diag(np.diag(J.T @ J))
+    b = rng.normal(size=6)
+    if system == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+    else:
+        a[2, 3] = np.nan if system == "nan" else np.inf
+    errstate = np.geterr()
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        h = estimator._solve(a, b)
+    assert h.shape == (6,) and not np.isfinite(h).all()
+    assert np.geterr() == errstate
 
 
 # --- landmark culling ---------------------------------------------------------
@@ -1519,6 +1584,43 @@ def test_ba_retries_a_singular_solve_with_more_damping(monkeypatch):
     assert report.cost_final < report.cost_initial
 
 
+def test_ba_resolves_a_non_finite_reduced_solve_at_the_higher_damping(monkeypatch):
+    # a reduced pose system that solves to NaN is a failed solve: the same
+    # blocks are solved again at damping_increase times the damping, so the
+    # adjustment ends where one that starts at that damping ends
+    config = SolverConfig(covisibility_min_shared=1)
+    ms = ba_test_map(config)
+    lams, systems = [], []
+    original_ba_solve, original_solve = estimator._ba_solve, estimator._solve
+
+    def recording_ba_solve(Hpp, gp, Hll, gl, W, lam):
+        lams.append(lam)
+        return original_ba_solve(Hpp, gp, Hll, gl, W, lam)
+
+    def non_finite_once(a, b):
+        systems.append(np.shape(a))
+        if len(systems) == 1:
+            return np.full(np.shape(b), np.nan)
+        return original_solve(a, b)
+
+    monkeypatch.setattr(estimator, "_ba_solve", recording_ba_solve)
+    monkeypatch.setattr(estimator, "_solve", non_finite_once)
+    report = local_bundle_adjustment(ms, 2, config)
+
+    assert systems[0] == systems[1] == (12, 12)  # two free poses
+    assert lams[:2] == [config.initial_damping,
+                        config.initial_damping * config.damping_increase]
+    assert report.accepted_steps > 0
+    assert report.cost_final < report.cost_initial
+
+    monkeypatch.setattr(estimator, "_solve", original_solve)
+    higher = dataclasses.replace(config, initial_damping=lams[1])
+    ms_higher = ba_test_map(higher)
+    assert local_bundle_adjustment(ms_higher, 2, higher) == report
+    for name in ("kf_R", "kf_t", "lm_pos"):
+        np.testing.assert_array_equal(getattr(ms_higher, name), getattr(ms, name))
+
+
 def test_ba_perfect_map_is_a_fixed_point():
     config = SolverConfig()
     ms, points, poses = two_keyframe_map(config, with_normal=True)
@@ -1740,6 +1842,59 @@ def test_ba_first_rejection_pass_clears_behind_camera_observation():
     assert behind not in ms.observations
     assert observers(ms, 0) == {0}
     assert_map_consistent(ms)
+
+
+def test_solvers_linearize_only_rows_in_front_of_their_cameras(monkeypatch):
+    # both solvers linearize only a state of finite cost (the start state or
+    # an accepted trial), and a row behind its camera costs inf: so every
+    # linearized row has a positive depth, and _ba_linearize's
+    # NonPositiveDepth check never fires. Checked on every linearization of
+    # a noisy 20%-outlier run and of a map with an observation behind its
+    # camera
+    states, linearized = [], {"track": 0, "ba": 0}
+    original_evaluate = estimator._track_evaluate
+    original_jacobians = estimator.reprojection_row_jacobians
+    original_linearize = estimator._ba_linearize
+
+    def recording_evaluate(K, config, points, measured, normal, R, t):
+        state = original_evaluate(K, config, points, measured, normal, R, t)
+        states.append((state[4], state[0], (points @ R.T + t)[:, 2]))
+        return state
+
+    def checking_jacobians(inv_z, nc, *rest):
+        if not rest:  # tracking's rows; bundle adjustment's pass their poses
+            _, cost, depth = next(s for s in reversed(states) if s[0] is inv_z)
+            assert math.isfinite(cost) and np.all(depth > 0.0)
+            linearized["track"] += 1
+        return original_jacobians(inv_z, nc, *rest)
+
+    def checking_linearize(problem):
+        assert math.isfinite(problem.ev.cost) and np.all(problem.ev.pc[:, 2] > 0.0)
+        linearized["ba"] += 1
+        return original_linearize(problem)
+
+    monkeypatch.setattr(estimator, "_track_evaluate", recording_evaluate)
+    monkeypatch.setattr(estimator, "reprojection_row_jacobians", checking_jacobians)
+    monkeypatch.setattr(estimator, "_ba_linearize", checking_linearize)
+    seq = generate_sequence(small_scene(outlier_rate=0.2, trajectory_length=1.5))
+    run_sequence(seq.frames, seq.intrinsics, SolverConfig())
+    assert linearized["track"] >= 2 * (len(seq.frames) - 1)
+    assert linearized["ba"] > 0
+
+    config = SolverConfig()
+    ms, _ = behind_camera_map(config)
+    counts = dict(linearized)
+    local_bundle_adjustment(ms, 1, config)
+    assert linearized["ba"] > counts["ba"]
+    # tracking from keyframe 1's pose, behind which landmark 0 lies, ends
+    # before its first linearization
+    pose1 = se3_exp(SECOND_TWIST)
+    points = np.array([position(ms, i) for i in range(1, 40)])
+    meas = np.vstack([[K.cx, K.cy, K.cx - 50.0], project(K, points @ pose1.R.T + pose1.t)])
+    frame = FrameData(2, 2.0, np.arange(40), meas)
+    with pytest.raises(TrackingLost, match="behind camera"):
+        track_frame(ms, frame, config, prev_pose=pose1)
+    assert linearized["track"] == counts["track"]
 
 
 def test_ba_world_normal_frozen_after_init_window():
@@ -2137,3 +2292,31 @@ def test_normal_constraint_cuts_tilt_drift_on_degenerate_scene():
     assert len(base.trajectory) == cfg.frame_count
     assert len(anchored.trajectory) == cfg.frame_count
     assert mean_tilt_deg(anchored) < mean_tilt_deg(base)
+
+
+def test_helper_solve_and_numpy_solve_give_the_same_run(monkeypatch, tmp_path):
+    # the same bits on the same machine: a 20%-outlier strip run as shipped
+    # and again with the helper swapped for np.linalg.solve, unlike a
+    # pinned digest, does not depend on the BLAS kernel of the host
+    seq = generate_sequence(small_scene(outlier_rate=0.2))
+    config = SolverConfig()
+    runs = [run_sequence(seq.frames, seq.intrinsics, config)]
+    calls = []
+
+    def numpy_solve(a, b):
+        calls.append(len(b))
+        return np.linalg.solve(a, b)
+
+    monkeypatch.setattr(estimator, "_solve", numpy_solve)
+    runs.append(run_sequence(seq.frames, seq.intrinsics, config))
+    assert len(calls) >= 2 * (len(seq.frames) - 1)
+    files = [tmp_path / "shipped.txt", tmp_path / "numpy.txt"]
+    for path, run in zip(files, runs):
+        save_trajectory(path, run.trajectory)
+    assert files[0].read_bytes() == files[1].read_bytes()
+    shipped, swapped = (run.trajectory for run in runs)
+    for name in ("timestamps", "R", "t"):
+        assert getattr(shipped, name).tobytes() == getattr(swapped, name).tobytes()
+    counts = [(len(run.map_state.keyframes), len(run.map_state.landmarks),
+               len(run.map_state.observations)) for run in runs]
+    assert counts[0] == counts[1]
